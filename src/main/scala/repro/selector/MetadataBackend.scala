@@ -4,6 +4,7 @@ import java.nio.{ByteBuffer, ByteOrder}
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.storage.FileSystemWrapper
+import repro.util.Parallel
 
 /** A sample as seen by the selector: storage key, label, event time, and
   * the (in-progress) trigger during which it arrived.
@@ -118,16 +119,12 @@ final class LocalBinaryBackend(fs: FileSystemWrapper, dir: String,
       val chunk  = chunkSeq; chunkSeq += 1
       val per    = (ss.length + numThreads - 1) / numThreads
       val groups = ss.grouped(per).toIndexedSeq
-      val threads = groups.zipWithIndex.map { case (g, tid) =>
-        val t = new Thread(() => {
-          val bytes = new Array[Byte](g.length * RecordBytes)
-          val bb    = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
-          g.foreach { s => bb.putLong(s.key); bb.putLong(s.label); bb.putLong(s.timestampSec) }
-          fs.write(chunkName(trig, chunk, tid), bytes)
-        }, s"local-backend-writer-$tid")
-        t.start(); t
-      }
-      threads.foreach(_.join())
+      Parallel.runAll("local-backend-writer", groups.zipWithIndex.map { case (g, tid) => () =>
+        val bytes = new Array[Byte](g.length * RecordBytes)
+        val bb    = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
+        g.foreach { s => bb.putLong(s.key); bb.putLong(s.label); bb.putLong(s.timestampSec) }
+        fs.write(chunkName(trig, chunk, tid), bytes)
+      })
     }
   }
 

@@ -2,6 +2,7 @@ package repro.selector
 
 import java.nio.{ByteBuffer, ByteOrder}
 import repro.storage.FileSystemWrapper
+import repro.util.Parallel
 
 /** A selected sample: its storage key and its training weight (the weight
   * multiplies the sample's gradient during backpropagation, §3.1).
@@ -34,7 +35,9 @@ final class TriggerSampleStorage(fs: FileSystemWrapper, baseDir: String) {
 
   /** Persist one partition of trigger `triggerId` using `numThreads`
     * parallel writer threads, each writing a contiguous chunk to its own
-    * file.
+    * file. Writer `t` writes `part_P_wT`; readers rely on these names being
+    * contiguous from `w0`, so a failed writer fails the whole call, and a
+    * leftover file just past the last writer is removed.
     */
   def writePartition(triggerId: Int, partitionId: Int,
                      samples: IndexedSeq[SelectedSample], numThreads: Int): Unit = {
@@ -42,38 +45,33 @@ final class TriggerSampleStorage(fs: FileSystemWrapper, baseDir: String) {
     require(samples.nonEmpty, "cannot persist an empty partition")
     val per    = (samples.length + numThreads - 1) / numThreads
     val chunks = samples.grouped(per).toIndexedSeq
-    val threads = chunks.zipWithIndex.map { case (chunk, tid) =>
-      val t = new Thread(() => {
-        val bytes = new Array[Byte](chunk.length * RecordBytes)
-        val bb    = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
-        chunk.foreach { s => bb.putLong(s.key); bb.putDouble(s.weight) }
-        fs.write(fileName(triggerId, partitionId, tid), bytes)
-      }, s"tss-writer-$tid")
-      t.start(); t
-    }
-    threads.foreach(_.join())
+    Parallel.runAll("tss-writer", chunks.zipWithIndex.map { case (chunk, tid) => () =>
+      val bytes = new Array[Byte](chunk.length * RecordBytes)
+      val bb    = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
+      chunk.foreach { s => bb.putLong(s.key); bb.putDouble(s.weight) }
+      fs.write(fileName(triggerId, partitionId, tid), bytes)
+    })
+    fs.delete(fileName(triggerId, partitionId, chunks.length))
   }
 
-  /** Files comprising (triggerId, partitionId), in writer-thread order. */
-  private def partitionFiles(triggerId: Int, partitionId: Int): Seq[String] = {
-    val prefix = f"part_${partitionId}%06d_w"
-    fs.list(partDir(triggerId)).filter { p =>
-      val n = p.substring(p.lastIndexOf('/') + 1)
-      n.startsWith(prefix) && n.endsWith(".tss")
-    }
-  }
+  /** Files comprising (triggerId, partitionId) with their record counts, in
+    * writer-thread order: `w0, w1, ...` up to the first missing name. No
+    * directory listing, so a share read costs O(writer files), not
+    * O(partitions of the trigger).
+    */
+  private def partitionFiles(triggerId: Int, partitionId: Int): IndexedSeq[(String, Long)] =
+    Iterator.from(0).map(fileName(triggerId, partitionId, _)).takeWhile(fs.exists)
+      .map(path => (path, fs.size(path) / RecordBytes)).toIndexedSeq
 
-  /** Number of partitions persisted for `triggerId`. */
+  /** Number of partitions persisted for `triggerId`: partitions are numbered
+    * from 0 without gaps, and each has a `w0` file.
+    */
   def numPartitions(triggerId: Int): Int =
-    fs.list(partDir(triggerId))
-      .map(p => p.substring(p.lastIndexOf('/') + 1))
-      .filter(_.endsWith(".tss"))
-      .map(_.stripPrefix("part_").take(6).toInt)
-      .distinct.size
+    Iterator.from(0).takeWhile(p => fs.exists(fileName(triggerId, p, 0))).size
 
   /** Total records in (triggerId, partitionId). */
   def partitionSize(triggerId: Int, partitionId: Int): Long =
-    partitionFiles(triggerId, partitionId).map(fs.size(_) / RecordBytes).sum
+    partitionFiles(triggerId, partitionId).map(_._2).sum
 
   /** Worker `workerId` of `numWorkers`'s share of a partition: the
     * contiguous record range `[workerId*total/numWorkers,
@@ -85,29 +83,25 @@ final class TriggerSampleStorage(fs: FileSystemWrapper, baseDir: String) {
     require(numWorkers > 0 && workerId >= 0 && workerId < numWorkers,
       s"workerId $workerId out of [0, $numWorkers)")
     val files = partitionFiles(triggerId, partitionId)
-    val sizes = files.map(fs.size(_) / RecordBytes)
-    val total = sizes.sum
-    val start = workerId * total / numWorkers
-    val end   = (workerId + 1) * total / numWorkers
-    readRange(files, sizes, start, end)
+    val total = files.map(_._2).sum
+    readRange(files, workerId * total / numWorkers, (workerId + 1) * total / numWorkers)
   }
 
   /** Every record of the partition, in writer order. */
   def readPartition(triggerId: Int, partitionId: Int): IndexedSeq[SelectedSample] = {
     val files = partitionFiles(triggerId, partitionId)
-    val sizes = files.map(fs.size(_) / RecordBytes)
-    readRange(files, sizes, 0L, sizes.sum)
+    readRange(files, 0L, files.map(_._2).sum)
   }
 
   /** Every record of the whole trigger training set, partition order. */
   def readTrigger(triggerId: Int): IndexedSeq[SelectedSample] =
     (0 until numPartitions(triggerId)).flatMap(readPartition(triggerId, _))
 
-  private def readRange(files: Seq[String], sizes: Seq[Long],
+  private def readRange(files: IndexedSeq[(String, Long)],
                         start: Long, end: Long): IndexedSeq[SelectedSample] = {
     val out = IndexedSeq.newBuilder[SelectedSample]
     var fileStart = 0L
-    files.zip(sizes).foreach { case (path, n) =>
+    files.foreach { case (path, n) =>
       val fileEnd = fileStart + n
       val lo = math.max(start, fileStart)
       val hi = math.min(end, fileEnd)

@@ -19,10 +19,12 @@ trait FileWrapper {
   /** Payload bytes of the sample at `index` (0-based within the file). */
   def getSample(index: Int): Array[Byte]
 
-  /** Payloads for a sorted batch of in-file indices. Implementations may
-    * coalesce reads; the default delegates to [[getSample]].
+  /** Payloads for a sorted batch of in-file indices, in the same order.
+    * The result is an array so callers can index it in O(1).
+    * Implementations may coalesce reads; the default delegates to
+    * [[getSample]].
     */
-  def getSamples(indices: Seq[Int]): Seq[Array[Byte]] = indices.map(getSample)
+  def getSamples(indices: Seq[Int]): Array[Array[Byte]] = indices.iterator.map(getSample).toArray
 
   /** Label of the sample at `index`. */
   def getLabel(index: Int): Long
@@ -55,12 +57,12 @@ final class BinaryFileWrapper(fs: FileSystemWrapper, path: String, val recordSiz
     fs.read(path, index.toLong * recordSize, recordSize)
   }
 
-  override def getSamples(indices: Seq[Int]): Seq[Array[Byte]] = {
-    if (indices.isEmpty) return Seq.empty
+  override def getSamples(indices: Seq[Int]): Array[Array[Byte]] = {
+    // An immutable IndexedSeq (e.g. a wrapped array) is used as is.
+    val arr = indices.toIndexedSeq
+    val out = new Array[Array[Byte]](arr.length)
     // Coalesce runs of adjacent indices into a single ranged read.
-    val out   = Seq.newBuilder[Array[Byte]]
     var start = 0
-    val arr   = indices.toIndexedSeq
     while (start < arr.length) {
       var end = start
       while (end + 1 < arr.length && arr(end + 1) == arr(end) + 1) end += 1
@@ -68,12 +70,12 @@ final class BinaryFileWrapper(fs: FileSystemWrapper, path: String, val recordSiz
       val chunk = fs.read(path, arr(start).toLong * recordSize, n * recordSize)
       var i = 0
       while (i < n) {
-        out += java.util.Arrays.copyOfRange(chunk, i * recordSize, (i + 1) * recordSize)
+        out(start + i) = java.util.Arrays.copyOfRange(chunk, i * recordSize, (i + 1) * recordSize)
         i += 1
       }
       start = end + 1
     }
-    out.result()
+    out
   }
 
   override def getLabel(index: Int): Long = {

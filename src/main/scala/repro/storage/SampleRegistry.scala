@@ -1,10 +1,11 @@
 package repro.storage
 
 import java.sql.{Connection, DriverManager}
+import java.util.concurrent.ConcurrentHashMap
 import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.duckdb.DuckDBConnection
-import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** Metadata row for one ingested sample. Keys are globally unique and
   * strictly increasing in ingestion order, matching Modyn's storage
@@ -44,7 +45,8 @@ final class SampleRegistry extends AutoCloseable {
 
   private val nextKey    = new AtomicLong(1L)
   private val nextFileId = new AtomicLong(0L)
-  private val filesById  = mutable.Map.empty[Int, FileMeta]
+  // Written by ingest, read lock-free by retrieval threads.
+  private val filesById  = new ConcurrentHashMap[Int, FileMeta]()
   private val tempSeq    = new AtomicLong(0L)
 
   /** Fresh connection sharing the same in-process database — one per
@@ -56,10 +58,13 @@ final class SampleRegistry extends AutoCloseable {
   def numSamples: Long = nextKey.get() - 1
 
   /** All registered files in id order. */
-  def files: Seq[FileMeta] = filesById.values.toSeq.sortBy(_.fileId)
+  def files: Seq[FileMeta] = filesById.values.asScala.toSeq.sortBy(_.fileId)
 
-  def fileMeta(fileId: Int): FileMeta =
-    filesById.getOrElse(fileId, throw new NoSuchElementException(s"unknown file id $fileId"))
+  def fileMeta(fileId: Int): FileMeta = {
+    val fm = filesById.get(fileId)
+    if (fm == null) throw new NoSuchElementException(s"unknown file id $fileId")
+    fm
+  }
 
   /** Ingest one file: extract all samples via the wrapper, assign keys, and
     * insert file + sample metadata. `timestampOf` maps the in-file index to
@@ -81,7 +86,7 @@ final class SampleRegistry extends AutoCloseable {
                         labels: IndexedSeq[Long],
                         timestampOf: Int => Long = _ => 0L): IndexedSeq[SampleMeta] = {
     val fileId = nextFileId.getAndIncrement().toInt
-    filesById.synchronized { filesById(fileId) = FileMeta(fileId, path, wrapperType) }
+    filesById.put(fileId, FileMeta(fileId, path, wrapperType))
 
     val fs = rootConn.prepareStatement("INSERT INTO files VALUES (?, ?)")
     fs.setInt(1, fileId); fs.setString(2, path); fs.executeUpdate(); fs.close()
@@ -133,6 +138,7 @@ final class SampleRegistry extends AutoCloseable {
            |FROM $tmp r JOIN samples s ON r.key = s.key
            |ORDER BY s.file_id, s.idx""".stripMargin)
       val out = Array.newBuilder[SampleMeta]
+      out.sizeHint(keys.length)
       while (rs.next())
         out += SampleMeta(rs.getLong(1), rs.getInt(2), rs.getInt(3), rs.getLong(4), rs.getLong(5))
       rs.close()

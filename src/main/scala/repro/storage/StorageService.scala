@@ -2,6 +2,7 @@ package repro.storage
 
 import java.util.concurrent.{ArrayBlockingQueue, TimeUnit}
 import java.util.concurrent.atomic.AtomicReference
+import scala.collection.immutable.ArraySeq
 
 /** One streamed unit of retrieved data — the paper's gRPC "send buffer"
   * (§4.2.3): whenever a retrieval thread fills its buffer, or finishes its
@@ -25,7 +26,7 @@ final case class PayloadBatch(keys: Array[Long], payloads: Array[Array[Byte]], l
   * @param sendBufferSize samples per emitted [[PayloadBatch]]
   */
 final class StorageService(registry: SampleRegistry, fs: FileSystemWrapper,
-                           sendBufferSize: Int = 4096) {
+                           val sendBufferSize: Int = 4096) {
   require(sendBufferSize > 0, "sendBufferSize must be positive")
 
   /** Stream the payloads for `keys` using `nThreads` retrieval threads.
@@ -119,19 +120,23 @@ final class StorageService(registry: SampleRegistry, fs: FileSystemWrapper,
 
     var i = 0
     while (i < metas.length) {
-      // metas is sorted by (file, idx): take the run belonging to one file.
+      // metas is sorted by (file, idx): take the run belonging to one file,
+      // read it with one getSamples call and copy it into the send buffer.
       val fileId = metas(i).fileId
       var j = i
       while (j < metas.length && metas(j).fileId == fileId) j += 1
-      val fm      = registry.fileMeta(fileId)
-      val wrapper = FileWrapperType.instantiate(fm.wrapperType, fs, fm.path)
-      val run     = metas.slice(i, j)
-      val payloads = wrapper.getSamples(run.map(_.indexInFile).toIndexedSeq)
+      val indices = new Array[Int](j - i)
       var r = 0
-      while (r < run.length) {
-        bufKeys(fill) = run(r).key
+      while (r < indices.length) { indices(r) = metas(i + r).indexInFile; r += 1 }
+      val fm       = registry.fileMeta(fileId)
+      val wrapper  = FileWrapperType.instantiate(fm.wrapperType, fs, fm.path)
+      val payloads = wrapper.getSamples(ArraySeq.unsafeWrapArray(indices))
+      r = 0
+      while (r < payloads.length) {
+        val m = metas(i + r)
+        bufKeys(fill) = m.key
         bufPayloads(fill) = payloads(r)
-        bufLabels(fill) = run(r).label
+        bufLabels(fill) = m.label
         fill += 1
         if (fill == sendBufferSize) flush()
         r += 1

@@ -88,21 +88,23 @@ object DownsamplingDriver {
     lo
   }
 
-  /** StB sampling phase: score every sample of the pool (streaming batches
-    * of (x, y, key)), then draw `ratio * N` of them. Returns (keys,
-    * weights) of the downsampled training set.
+  /** StB sampling phase: score every sample of the pool as it streams by
+    * (batches of (x, y, key)), then draw `ratio * N` of them. The model is
+    * fixed during this phase, so only keys and scores are kept: O(N)
+    * memory, not O(N·d). Returns (keys, weights) of the downsampled
+    * training set.
     */
   def sampleThenBatch(policy: DownsamplerPolicy, model: Model, ratio: Double,
                       pool: Iterator[(Array[Float], Int, Long)],
                       seed: Long): (Array[Long], Array[Double]) = {
-    val xs    = IndexedSeq.newBuilder[(Array[Float], Int, Long)]
-    pool.foreach(xs += _)
-    val all   = xs.result()
-    require(all.nonEmpty, "cannot downsample an empty trigger training set")
-    val scores = all.map { case (x, y, _) => policy.score(model, x, y) }.toArray
-    val m      = math.max(1, math.ceil(ratio * all.length).toInt)
-    val draws  = draw(scores, m, seed)
-    (draws.map(d => all(d.index)._3).toArray, draws.map(_.weight).toArray)
+    val keys   = Array.newBuilder[Long]
+    val scores = Array.newBuilder[Double]
+    pool.foreach { case (x, y, key) => keys += key; scores += policy.score(model, x, y) }
+    val poolKeys = keys.result()
+    require(poolKeys.nonEmpty, "cannot downsample an empty trigger training set")
+    val m     = math.max(1, math.ceil(ratio * poolKeys.length).toInt)
+    val draws = draw(scores.result(), m, seed)
+    (draws.map(d => poolKeys(d.index)).toArray, draws.map(_.weight).toArray)
   }
 
   /** BtS: score one batch and draw `ratio * batchSize` of its samples.

@@ -3,7 +3,7 @@ package repro.trainer
 import java.util.concurrent.{ArrayBlockingQueue, LinkedBlockingQueue, Semaphore}
 import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 import repro.selector.TriggerTrainingSet
-import repro.storage.StorageService
+import repro.storage.{PayloadBatch, StorageService}
 import scala.collection.mutable
 
 /** Tuning knobs of the data path, matching the dimensions varied in §5.1:
@@ -86,23 +86,31 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
                           parser: BytesParser, transform: Transform,
                           cfg: OnlineDatasetConfig) {
 
-  private final case class Sample(key: Long, x: Array[Float], label: Int, weight: Double)
   /** A raw storage chunk plus the weight of each key in the worker share;
     * parsing happens in the worker's *main* thread (§4.2.1), never in the
     * prefetch threads.
     */
-  private final case class RawChunk(chunk: repro.storage.PayloadBatch,
-                                    weightOf: mutable.LongMap[Double])
+  private final case class RawChunk(chunk: PayloadBatch, weightOf: mutable.LongMap[Double])
   private object WorkerDone
   private object PartitionDone
+
+  /** Parsed chunks a worker may run ahead of the consumer: four batches'
+    * worth, and at least two. A chunk holds `sendBufferSize` samples, or
+    * fewer when a retrieval thread's part of a worker share is smaller.
+    */
+  private val queueChunks = {
+    val part  = source.totalSamples / math.max(1, source.numPartitions) /
+      (cfg.numWorkers * cfg.storageThreads)
+    val chunk = math.max(1L, math.min(storage.sendBufferSize.toLong, part))
+    math.max(2L, (4L * cfg.batchSize + chunk - 1) / chunk).toInt
+  }
 
   /** Iterate the trigger training set once as training batches. The
     * iterator must be fully consumed; worker errors are rethrown here.
     */
   def batches(): Iterator[TrainBatch] = {
     val failure = new AtomicReference[Throwable](null)
-    val queues  = IndexedSeq.fill(cfg.numWorkers)(
-      new ArrayBlockingQueue[AnyRef](math.max(64, 4 * cfg.batchSize)))
+    val queues  = IndexedSeq.fill(cfg.numWorkers)(new ArrayBlockingQueue[AnyRef](queueChunks))
 
     (0 until cfg.numWorkers).foreach { w =>
       val t = new Thread(() => runWorker(w, queues(w), failure), s"online-dataset-worker-$w")
@@ -112,7 +120,7 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
     assemble(queues, failure)
   }
 
-  /** Worker main loop: produce parsed samples of this worker's share of
+  /** Worker main loop: produce parsed chunks of this worker's share of
     * every partition, in partition order, into `out`.
     */
   private def runWorker(workerId: Int, out: ArrayBlockingQueue[AnyRef],
@@ -126,7 +134,7 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
         var p = 0
         while (p < nParts && failure.get() == null) {
           val raws = fetchChunks(workerId, p).toIndexedSeq
-          raws.foreach(r => parseInto(r, out))
+          raws.foreach(r => out.put(parse(r)))
           p += 1
         }
       } else {
@@ -166,7 +174,7 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
           while (!done) {
             chunkQueues(p).take() match {
               case PartitionDone => done = true
-              case r: RawChunk   => parseInto(r, out)
+              case r: RawChunk   => out.put(parse(r))
               case other         => throw new IllegalStateException(s"unexpected $other")
             }
           }
@@ -186,7 +194,8 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
     val (keys, weights) = source.workerShare(partition, workerId, cfg.numWorkers)
     if (keys.isEmpty) return Iterator.empty
     val weightOf = {
-      val m = new mutable.LongMap[Double](keys.length)
+      // LongMap repacks once it is half full: size it so it never does.
+      val m = new mutable.LongMap[Double](2 * keys.length)
       var i = 0
       while (i < keys.length) { m(keys(i)) = weights(i); i += 1 }
       m
@@ -194,49 +203,71 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
     storage.retrieve(keys, cfg.storageThreads).map(RawChunk(_, weightOf))
   }
 
-  /** Apply the bytes parser + transformations to one raw chunk and emit
-    * the samples — always on the worker's main thread.
+  /** Apply the bytes parser + transformations to one raw chunk — always
+    * on the worker's main thread. The parsed chunk keeps the storage order.
     */
-  private def parseInto(raw: RawChunk, out: ArrayBlockingQueue[AnyRef]): Unit = {
-    val c = raw.chunk
+  private def parse(raw: RawChunk): TrainBatch = {
+    val c  = raw.chunk
+    val xs = new Array[Array[Float]](c.size)
+    val ys = new Array[Int](c.size)
+    val ws = new Array[Double](c.size)
     var i = 0
     while (i < c.size) {
-      val x = transform(parser.parse(c.payloads(i)))
-      out.put(Sample(c.keys(i), x, c.labels(i).toInt, raw.weightOf(c.keys(i))))
+      xs(i) = transform(parser.parse(c.payloads(i)))
+      ys(i) = c.labels(i).toInt
+      ws(i) = raw.weightOf(c.keys(i))
       i += 1
     }
+    TrainBatch(c.keys, xs, ys, ws)
   }
 
   /** Round-robin batch assembly across workers (§4.2.1): take up to
     * `batchSize` samples from one worker, yield the batch, move to the
     * next; a worker that finishes yields its final partial batch and
-    * leaves the rotation.
+    * leaves the rotation. A batch is cut from the worker's parsed chunks,
+    * so it may span several chunks and a chunk several batches.
     */
   private def assemble(queues: IndexedSeq[ArrayBlockingQueue[AnyRef]],
                        failure: AtomicReference[Throwable]): Iterator[TrainBatch] =
     new Iterator[TrainBatch] {
       private val active    = mutable.Queue.empty[Int] ++ queues.indices
+      // Each worker's partly consumed chunk and the next position in it.
+      private val current   = new Array[TrainBatch](queues.size)
+      private val pos       = new Array[Int](queues.size)
       private var nextBatch = fetchNext()
 
       private def fetchNext(): Option[TrainBatch] = {
         while (active.nonEmpty) {
-          val w       = active.dequeue()
-          val keys    = Array.newBuilder[Long]
-          val xs      = Array.newBuilder[Array[Float]]
-          val ys      = Array.newBuilder[Int]
-          val ws      = Array.newBuilder[Double]
-          var n       = 0
-          var done    = false
+          val w    = active.dequeue()
+          val keys = new Array[Long](cfg.batchSize)
+          val xs   = new Array[Array[Float]](cfg.batchSize)
+          val ys   = new Array[Int](cfg.batchSize)
+          val ws   = new Array[Double](cfg.batchSize)
+          var n    = 0
+          var done = false
           while (n < cfg.batchSize && !done) {
-            queues(w).take() match {
-              case WorkerDone => done = true
-              case s: Sample  =>
-                keys += s.key; xs += s.x; ys += s.label; ws += s.weight; n += 1
-              case other => throw new IllegalStateException(s"unexpected $other")
+            val c = current(w)
+            if (c == null || pos(w) == c.size) {
+              queues(w).take() match {
+                case WorkerDone    => done = true
+                case b: TrainBatch => current(w) = b; pos(w) = 0
+                case other         => throw new IllegalStateException(s"unexpected $other")
+              }
+            } else {
+              val k = math.min(c.size - pos(w), cfg.batchSize - n)
+              System.arraycopy(c.keys, pos(w), keys, n, k)
+              System.arraycopy(c.features, pos(w), xs, n, k)
+              System.arraycopy(c.labels, pos(w), ys, n, k)
+              System.arraycopy(c.weights, pos(w), ws, n, k)
+              pos(w) += k
+              n += k
             }
           }
           if (!done) active.enqueue(w)
-          if (n > 0) return Some(TrainBatch(keys.result(), xs.result(), ys.result(), ws.result()))
+          if (n == cfg.batchSize) return Some(TrainBatch(keys, xs, ys, ws))
+          if (n > 0) return Some(TrainBatch(java.util.Arrays.copyOf(keys, n),
+            java.util.Arrays.copyOf(xs, n), java.util.Arrays.copyOf(ys, n),
+            java.util.Arrays.copyOf(ws, n)))
         }
         if (failure.get() != null) throw failure.get()
         None

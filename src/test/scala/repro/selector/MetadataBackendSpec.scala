@@ -2,7 +2,7 @@ package repro.selector
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
-import repro.TestUtil.withTmpDir
+import repro.TestUtil.{ForwardingFs, withTmpDir}
 import repro.storage.LocalFileSystemWrapper
 
 class MetadataBackendSpec extends SparkSpec {
@@ -98,6 +98,19 @@ class MetadataBackendSpec extends SparkSpec {
       assert(b.count == 101)
       assert(b.scanAll().map(_.key) == samples(101).map(_.key))
       b.close()
+    }
+  }
+
+  test("local: a failing writer thread fails persist") {
+    withTmpDir { dir =>
+      val broken = new ForwardingFs {
+        override def write(path: String, bytes: Array[Byte]): Unit =
+          if (path.endsWith("_t02.bin")) throw new java.io.IOException("disk full")
+          else super.write(path, bytes)
+      }
+      val b  = new LocalBinaryBackend(broken, dir, numThreads = 4)
+      val ex = intercept[java.io.IOException] { b.persist(samples(40)) }
+      assert(ex.getMessage == "disk full")
     }
   }
 

@@ -1,7 +1,8 @@
 package repro.selector
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestUtil.withTmpDir
+import java.util.concurrent.atomic.AtomicInteger
+import repro.TestUtil.{ForwardingFs, withTmpDir}
 import repro.storage.LocalFileSystemWrapper
 
 class TriggerSampleStorageSpec extends AnyFunSuite {
@@ -121,6 +122,48 @@ class TriggerSampleStorageSpec extends AnyFunSuite {
       tss.writePartition(1, 0, samples(9), 1)
       assert(tss.readPartition(0, 0).size == 5)
       assert(tss.readPartition(1, 0).size == 9)
+    }
+  }
+
+  test("share reads and partition sizes derive file names instead of listing") {
+    withTmpDir { dir =>
+      val lists = new AtomicInteger(0)
+      val counting = new ForwardingFs {
+        override def list(path: String): Seq[String] = { lists.incrementAndGet(); super.list(path) }
+      }
+      val tss = new TriggerSampleStorage(counting, dir)
+      // 3 records with 8 writer threads: only w0..w2 exist.
+      tss.writePartition(0, 0, samples(3), numThreads = 8)
+      tss.writePartition(0, 1, samples(61), numThreads = 4)
+      assert(tss.partitionSize(0, 0) == 3L && tss.partitionSize(0, 1) == 61L)
+      for (workers <- Seq(1, 2, 5)) {
+        assert((0 until workers).flatMap(w => tss.readWorkerShare(0, 0, w, workers)) == samples(3))
+        assert((0 until workers).flatMap(w => tss.readWorkerShare(0, 1, w, workers)) == samples(61))
+      }
+      assert(tss.readPartition(0, 1) == samples(61))
+      assert(lists.get == 0)
+    }
+  }
+
+  test("rewriting a partition with fewer writers drops the old tail") {
+    withTmpDir { dir =>
+      val tss = new TriggerSampleStorage(fs, dir)
+      tss.writePartition(0, 0, samples(40), numThreads = 4)
+      tss.writePartition(0, 0, samples(10), numThreads = 2)
+      assert(tss.readPartition(0, 0) == samples(10))
+    }
+  }
+
+  test("a failing writer thread fails writePartition") {
+    withTmpDir { dir =>
+      val broken = new ForwardingFs {
+        override def write(path: String, bytes: Array[Byte]): Unit =
+          if (path.endsWith("_w00001.tss")) throw new java.io.IOException("disk full")
+          else super.write(path, bytes)
+      }
+      val tss = new TriggerSampleStorage(broken, dir)
+      val ex = intercept[java.io.IOException] { tss.writePartition(0, 0, samples(12), numThreads = 3) }
+      assert(ex.getMessage == "disk full")
     }
   }
 }

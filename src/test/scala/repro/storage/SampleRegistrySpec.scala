@@ -132,6 +132,33 @@ class SampleRegistrySpec extends SparkSpec {
     }
   }
 
+  test("fileMeta reads race-free with ingest; files stay in id order") {
+    val r         = new SampleRegistry
+    val published = new java.util.concurrent.atomic.AtomicInteger(0)
+    val failure   = new java.util.concurrent.atomic.AtomicReference[Throwable](null)
+    val readers = (0 until 3).map { _ =>
+      val t = new Thread(() => {
+        try while (published.get() < 300) {
+          val n = published.get()
+          if (n > 0) {
+            val id = n - 1
+            assert(r.fileMeta(id).path == s"f$id")
+          }
+        } catch { case e: Throwable => failure.compareAndSet(null, e) }
+      })
+      t.start(); t
+    }
+    (0 until 300).foreach { i =>
+      r.ingestPrecomputed(s"f$i", FileWrapperType.SingleSample, IndexedSeq(i.toLong))
+      published.set(i + 1)
+    }
+    readers.foreach(_.join())
+    assert(failure.get() == null, String.valueOf(failure.get()))
+    assert(r.files.map(_.fileId) == (0 until 300))
+    assert(r.files.map(_.path) == (0 until 300).map(i => s"f$i"))
+    r.close()
+  }
+
   test("mirrorToParquet exposes the metadata to Spark") {
     withTmpDir { dir =>
       val r = new SampleRegistry

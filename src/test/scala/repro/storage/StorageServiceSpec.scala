@@ -146,4 +146,24 @@ class StorageServiceSpec extends AnyFunSuite {
       r.close()
     }
   }
+
+  test("one thread retrieves a 12 000-record file in file order with exact payloads") {
+    withTmpDir { dir =>
+      val n     = 12000
+      val bytes = new Array[Byte](n * 24)
+      val bb    = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
+      (0 until n).foreach { j => bb.putInt(j * 24, j % 7); bb.putLong(j * 24 + 8, j * 31L + 5) }
+      fs.write(s"$dir/big.bin", bytes)
+      val r     = new SampleRegistry
+      val metas = r.ingestFile(fs, s"$dir/big.bin", FileWrapperType.Binary(24))
+      val svc   = new StorageService(r, fs, sendBufferSize = 1000)
+      val got   = svc.retrieveAll(metas.map(_.key).reverse.toArray, nThreads = 1)
+      assert(got.keys.toSeq == metas.map(_.key))
+      (0 until n).foreach { j =>
+        assert(got.labels(j) == j % 7)
+        assert(got.payloads(j).sameElements(bytes.slice(j * 24, (j + 1) * 24)), s"record $j")
+      }
+      r.close()
+    }
+  }
 }

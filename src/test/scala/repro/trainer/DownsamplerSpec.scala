@@ -91,6 +91,17 @@ class DownsamplerSpec extends AnyFunSuite {
     assert(weights.forall(_ > 0))
   }
 
+  test("sampleThenBatch draws exactly what draw gives over the pool's scores") {
+    val m      = model(4)
+    val policy = new GradNormDownsampler(true)
+    val pool   = (0 until 50).map(i => (randX(100 + i), i % 3, 5000L + 7 * i))
+    val scores = pool.map { case (x, y, _) => policy.score(m, x, y) }.toArray
+    val draws  = draw(scores, 13, seed = 11)
+    val (keys, weights) = sampleThenBatch(policy, m, 0.25, pool.iterator, seed = 11)
+    assert(keys.toSeq == draws.map(d => pool(d.index)._3))
+    assert(weights.toSeq == draws.map(_.weight))
+  }
+
   test("sampleThenBatch on an empty pool fails") {
     intercept[IllegalArgumentException] {
       sampleThenBatch(new LossDownsampler, model(), 0.5, Iterator.empty, 1)

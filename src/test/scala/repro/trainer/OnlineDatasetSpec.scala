@@ -5,6 +5,8 @@ import repro.TestUtil.withTmpDir
 import repro.datagen.CriteoLite
 import repro.selector.{SelectedSample, TriggerSampleStorage, TriggerTrainingSet}
 import repro.storage.{LocalFileSystemWrapper, SampleRegistry, StorageService}
+import repro.util.Rng
+import scala.collection.mutable
 
 class OnlineDatasetSpec extends AnyFunSuite {
   private val fs = new LocalFileSystemWrapper
@@ -130,6 +132,50 @@ class OnlineDatasetSpec extends AnyFunSuite {
       val ds = new OnlineDataset(new TssSource(tts), storage,
         new CriteoBytesParser(16), IdentityTransform, cfg(8, prefetch = 2))
       assert(collectKeys(ds).sorted == (1L to 10L))
+      r.close()
+    }
+  }
+
+  test("one storage thread gives the round-robin batch sequence of the TSS shares") {
+    withTmpDir { dir =>
+      val (r, storage, _) = setup(dir, 300, partitionSize = 300)
+      // Shuffled selection: storage returns each share in file order, which
+      // here is key order, not TSS order.
+      val selected = (1L to 300L).sortBy(k => Rng.mix(k)).filter(_ % 5 != 0)
+        .map(k => SelectedSample(k, 0.5 + k % 4))
+      val tss   = new TriggerSampleStorage(fs, s"$dir/tss-shuffled")
+      val parts = selected.grouped(70).toIndexedSeq
+      parts.zipWithIndex.foreach { case (p, i) => tss.writePartition(0, i, p, 3) }
+      val tts = TriggerTrainingSet(0, parts.size, selected.size, tss)
+
+      for {
+        workers  <- Seq(1, 2, 3)
+        batch    <- Seq(7, 32, 64)
+        prefetch <- Seq(0, 1, 2)
+        parallel <- Seq(1, 2)
+      } {
+        // Each worker streams its share of every partition in key order;
+        // batches are taken from the workers in turn, and a worker leaves
+        // the rotation once it yields fewer than `batch` samples.
+        val streams = (0 until workers).map { w =>
+          parts.indices.flatMap(p => tss.readWorkerShare(0, p, w, workers).sortBy(_.key))
+        }
+        val pos      = Array.fill(workers)(0)
+        val rotation = mutable.Queue(0 until workers: _*)
+        val expected = mutable.ArrayBuffer.empty[Seq[SelectedSample]]
+        while (rotation.nonEmpty) {
+          val w = rotation.dequeue()
+          val b = streams(w).slice(pos(w), pos(w) + batch)
+          pos(w) += b.size
+          if (b.size == batch) rotation.enqueue(w)
+          if (b.nonEmpty) expected += b
+        }
+        val ds = new OnlineDataset(new TssSource(tts), storage, new CriteoBytesParser(16),
+          IdentityTransform, cfg(workers, prefetch, parallel, storageThreads = 1, batch = batch))
+        val got = ds.batches().map(b => b.keys.toSeq.zip(b.weights.toSeq).map(SelectedSample.tupled)).toSeq
+        assert(got == expected.toSeq,
+          s"workers=$workers batch=$batch prefetch=$prefetch parallel=$parallel")
+      }
       r.close()
     }
   }
