@@ -9,8 +9,7 @@ import repro.trainer._
   * sets at the partition sizes under study.
   */
 final class Corpus(val registry: SampleRegistry, val storage: StorageService,
-                   val metas: IndexedSeq[SampleMeta], val dataDir: String,
-                   val tss: TriggerSampleStorage,
+                   val metas: IndexedSeq[SampleMeta], val tss: TriggerSampleStorage,
                    val triggerByPartitionSize: Map[Int, TriggerTrainingSet]) {
   def close(): Unit = registry.close()
 }
@@ -24,7 +23,11 @@ final case class ThroughputResult(samples: Long, wallMs: Long) {
 /** Shared machinery for the throughput benchmarks (T1–T3): corpus
   * construction, the Modyn data path (selector TSS → storage →
   * OnlineDataset → training consumer), and the §5.1.1 local baseline
-  * (sequential file reads, no sample-level selection).
+  * (sequential file reads, no sample-level selection). Both run on the
+  * same dataloader ([[repro.trainer.LocalFileDataset]] shares the
+  * OnlineDataset's workers, queues and batch assembly), and both are timed
+  * alike: the clock starts before `batches()` starts the worker threads
+  * and stops after the last model update.
   */
 object Harness {
   val fs = new LocalFileSystemWrapper
@@ -46,7 +49,7 @@ object Harness {
       parts.zipWithIndex.foreach { case (p, i) => tss.writePartition(t, i, p, 4) }
       ps -> TriggerTrainingSet(t, parts.size, selected.size, tss)
     }.toMap
-    new Corpus(registry, storage, metas, s"$dir/data", tss, triggers)
+    new Corpus(registry, storage, metas, tss, triggers)
   }
 
   /** Build a CLOC-lite corpus (one sample per file + sidecar label). */
@@ -61,7 +64,7 @@ object Harness {
     val selected = metas.map(m => SelectedSample(m.key, 1.0))
     val parts    = selected.grouped(partitionSize).toIndexedSeq
     parts.zipWithIndex.foreach { case (p, i) => tss.writePartition(0, i, p, 4) }
-    new Corpus(registry, storage, metas, s"$dir/data", tss,
+    new Corpus(registry, storage, metas, tss,
       Map(partitionSize -> TriggerTrainingSet(0, parts.size, selected.size, tss)))
   }
 
@@ -75,75 +78,29 @@ object Harness {
                       model: Model): ThroughputResult = {
     val tts = corpus.triggerByPartitionSize(partitionSize)
     val ds  = new OnlineDataset(new TssSource(tts), corpus.storage, parser, transform, cfg)
-    var n   = 0L
-    val start = System.nanoTime()
-    ds.batches().foreach { b =>
-      model.trainBatch(b.features, b.labels, b.weights)
-      n += b.size
-    }
-    ThroughputResult(n, (System.nanoTime() - start) / 1000000L)
+    train(ds.batches, model)
   }
 
-  /** The §5.1.1 baseline: same training loop, but a local dataset reading
-    * the binary files sequentially — no selector, no per-key retrieval.
+  /** The §5.1.1 baseline: same training loop and dataloader, but a local
+    * dataset reading every registered file sequentially — no selector, no
+    * per-key retrieval. Serves Criteo binary files and CLOC single-sample
+    * files alike.
     */
-  def localThroughput(corpus: Corpus, recordSize: Int, numWorkers: Int, batchSize: Int,
+  def localThroughput(corpus: Corpus, numWorkers: Int, batchSize: Int,
                       parser: BytesParser, transform: Transform,
                       model: Model): ThroughputResult = {
-    val files = fs.list(corpus.dataDir).filterNot(_.endsWith(".label"))
-    val ds = new LocalFileDataset(fs, files, recordSize, parser, transform,
+    val ds = new LocalFileDataset(fs, corpus.registry.files, parser, transform,
       numWorkers, batchSize)
-    var n = 0L
-    val start = System.nanoTime()
-    ds.batches().foreach { b =>
-      model.trainBatch(b.features, b.labels, b.weights)
-      n += b.size
-    }
-    ThroughputResult(n, (System.nanoTime() - start) / 1000000L)
+    train(ds.batches, model)
   }
 
-  /** Local baseline for single-sample-file datasets (CLOC): workers read
-    * whole files sequentially; labels come from the sidecars.
-    */
-  def localSingleSampleThroughput(corpus: Corpus, numWorkers: Int, batchSize: Int,
-                                  parser: BytesParser, transform: Transform,
-                                  model: Model): ThroughputResult = {
-    import java.util.concurrent.ArrayBlockingQueue
-    val files = fs.list(corpus.dataDir).filterNot(_.endsWith(".label"))
-    val queues = IndexedSeq.fill(numWorkers)(new ArrayBlockingQueue[AnyRef](4 * batchSize))
-    object Done
-    val assignment = files.zipWithIndex.groupMap(_._2 % numWorkers)(_._1)
-    (0 until numWorkers).foreach { w =>
-      val t = new Thread(() => {
-        try assignment.getOrElse(w, Seq.empty).foreach { path =>
-          val x = transform(parser.parse(fs.readAll(path)))
-          val y = new String(fs.readAll(path + ".label")).trim.toInt
-          queues(w).put((x, y))
-        } finally queues(w).put(Done)
-      })
-      t.setDaemon(true); t.start()
-    }
+  /** Time feeding every batch of `batches()` to the model's training step. */
+  private def train(batches: () => Iterator[TrainBatch], model: Model): ThroughputResult = {
     var n = 0L
     val start = System.nanoTime()
-    var active = (0 until numWorkers).toBuffer
-    while (active.nonEmpty) {
-      val w  = active.head
-      val xs = Array.newBuilder[Array[Float]]
-      val ys = Array.newBuilder[Int]
-      var c  = 0
-      var done = false
-      while (c < batchSize && !done) {
-        queues(w).take() match {
-          case Done => done = true
-          case (x: Array[Float], y: Int) => xs += x; ys += y; c += 1
-          case other => throw new IllegalStateException(s"unexpected $other")
-        }
-      }
-      if (done) active.remove(0) else { active.remove(0); active.append(w) }
-      if (c > 0) {
-        model.trainBatch(xs.result(), ys.result(), Array.fill(c)(1.0))
-        n += c
-      }
+    batches().foreach { b =>
+      model.trainBatch(b.features, b.labels, b.weights)
+      n += b.size
     }
     ThroughputResult(n, (System.nanoTime() - start) / 1000000L)
   }

@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.datagen.{ClocLite, CriteoLite}
 import repro.selector.{DuckDbBackend, LocalBinaryBackend, SeenSample}
 import repro.trainer._
 
@@ -76,8 +75,8 @@ object Tables {
     // Untimed warmups of both code paths (JIT).
     Harness.modynThroughput(corpus, largePart, OnlineDatasetConfig(4, batchSize, 1, 1, 1),
       parser, IdentityTransform, Harness.criteoModel(128))
-    Harness.localThroughput(corpus, CriteoLite.RecordSize, 4, batchSize, parser,
-      IdentityTransform, Harness.criteoModel(128))
+    Harness.localThroughput(corpus, 4, batchSize, parser, IdentityTransform,
+      Harness.criteoModel(128))
     val sb     = new StringBuilder
     sb ++= "== T2 (Fig. 8a): best Modyn vs local sequential baseline, Criteo-lite ==\n"
     sb ++= f"${"workers"}%8s ${"modyn kOps/s"}%14s ${"local kOps/s"}%14s ${"modyn/local"}%12s\n"
@@ -92,8 +91,8 @@ object Tables {
         OnlineDatasetConfig(w, batchSize, b, p, st), parser,
         IdentityTransform, Harness.criteoModel(128)).kOpsPerSec
       val best  = candidates.max
-      val local = Harness.localThroughput(corpus, CriteoLite.RecordSize, w, batchSize,
-        parser, IdentityTransform, Harness.criteoModel(128)).kOpsPerSec
+      val local = Harness.localThroughput(corpus, w, batchSize, parser,
+        IdentityTransform, Harness.criteoModel(128)).kOpsPerSec
       sb ++= f"$w%8d $best%14.1f $local%14.1f ${best / local * 100}%11.1f%%\n"
       w -> (best, local)
     }.toMap
@@ -127,8 +126,8 @@ object Tables {
         parallelPrefetchRequests = 1, storageThreads = 1)
       val m = Harness.modynThroughput(corpus, 2000, cfg, parser, transform,
         Harness.clocModel(featureDim, numClasses))
-      val l = Harness.localSingleSampleThroughput(corpus, w, batchSize, parser,
-        transform, Harness.clocModel(featureDim, numClasses))
+      val l = Harness.localThroughput(corpus, w, batchSize, parser, transform,
+        Harness.clocModel(featureDim, numClasses))
       val mS = m.kOpsPerSec * 1000; val lS = l.kOpsPerSec * 1000
       sb ++= f"$w%8d $mS%13.0f $lS%13.0f ${mS / lS * 100}%11.1f%%\n"
       w -> (mS, lS)

@@ -3,7 +3,6 @@ package repro.storage
 import java.sql.{Connection, DriverManager}
 import java.util.concurrent.ConcurrentHashMap
 import java.util.concurrent.atomic.AtomicLong
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.duckdb.DuckDBConnection
 import scala.jdk.CollectionConverters._
 
@@ -25,9 +24,6 @@ final case class FileMeta(fileId: Int, path: String, wrapperType: FileWrapperTyp
   * metadata; retrieval resolves arbitrary key sets to (file, offset) pairs
   * with a join against a temp key table, whose cost scales with the number
   * of requested keys — the effect measured in §5.1.1.
-  *
-  * A Parquet mirror ([[mirrorToParquet]]) exposes the same metadata as a
-  * growing Spark-scannable dataset for the selector's Spark-side policies.
   */
 final class SampleRegistry extends AutoCloseable {
   Class.forName("org.duckdb.DuckDBDriver")
@@ -108,7 +104,7 @@ final class SampleRegistry extends AutoCloseable {
   }
 
   /** Delete samples by key (GDPR-style removal, §2.1). Deleted samples
-    * disappear from lookups and from subsequent Parquet mirrors.
+    * disappear from lookups and from time-ordered scans.
     */
   def deleteSamples(keys: Seq[Long]): Int = {
     val ps = rootConn.prepareStatement("DELETE FROM samples WHERE key = ?")
@@ -159,17 +155,6 @@ final class SampleRegistry extends AutoCloseable {
       out += SampleMeta(rs.getLong(1), rs.getInt(2), rs.getInt(3), rs.getLong(4), rs.getLong(5))
     rs.close(); st.close()
     out.result()
-  }
-
-  /** Mirror the sample metadata into a Parquet dataset at `dir`, overwriting
-    * any previous mirror. Selector policies scan this with Spark SQL.
-    */
-  def mirrorToParquet(spark: SparkSession, dir: String): DataFrame = {
-    import spark.implicits._
-    val rows = allSamplesByTime().map(m => (m.key, m.fileId, m.indexInFile, m.label, m.timestampSec))
-    val df = rows.toDF("key", "file_id", "idx", "label", "ts")
-    df.write.mode("overwrite").parquet(dir)
-    spark.read.parquet(dir)
   }
 
   override def close(): Unit = rootConn.close()

@@ -1,87 +1,41 @@
 package repro.trainer
 
-import java.nio.{ByteBuffer, ByteOrder}
-import java.util.concurrent.ArrayBlockingQueue
-import java.util.concurrent.atomic.AtomicReference
-import repro.storage.FileSystemWrapper
-import scala.collection.mutable
+import repro.storage.{FileMeta, FileSystemWrapper, FileWrapperType}
 
 /** The §5.1.1 comparison baseline: Modyn's training loop with the
   * OnlineDataset replaced by "a custom local dataset reading data directly
   * from binary files". Each dataloader worker is assigned a share of the
   * files and emits *every* sample in them sequentially — no per-key
-  * retrieval, no metadata lookup, no sample-level selection. Batches are
-  * assembled from the workers round-robin, like the real dataset.
+  * retrieval, no metadata lookup, no sample-level selection. Each file is
+  * read through its registered [[repro.storage.FileWrapper]], so Criteo
+  * binary files and CLOC single-sample files with `.label` sidecars take
+  * the same path. Workers, queues and round-robin batch assembly are the
+  * [[Loader]] the OnlineDataset uses.
   */
-final class LocalFileDataset(fs: FileSystemWrapper, files: Seq[String], recordSize: Int,
+final class LocalFileDataset(fs: FileSystemWrapper, files: Seq[FileMeta],
                              parser: BytesParser, transform: Transform,
                              numWorkers: Int, batchSize: Int) {
   require(numWorkers > 0 && batchSize > 0, "numWorkers and batchSize must be positive")
-  require(recordSize > 4, "recordSize must exceed the 4-byte label")
-
-  private final case class Sample(x: Array[Float], label: Int)
-  private object WorkerDone
 
   def batches(): Iterator[TrainBatch] = {
-    val failure = new AtomicReference[Throwable](null)
-    val queues  = IndexedSeq.fill(numWorkers)(
-      new ArrayBlockingQueue[AnyRef](math.max(64, 4 * batchSize)))
-
     // Round-robin file assignment gives every worker an equal share.
     val assignment = files.zipWithIndex.groupMap(_._2 % numWorkers)(_._1)
-
-    (0 until numWorkers).foreach { w =>
-      val t = new Thread(() => {
-        try {
-          assignment.getOrElse(w, Seq.empty).foreach { path =>
-            val bytes = fs.readAll(path)
-            val bb    = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
-            val n     = bytes.length / recordSize
-            var i = 0
-            while (i < n) {
-              val rec   = java.util.Arrays.copyOfRange(bytes, i * recordSize, (i + 1) * recordSize)
-              val label = bb.getInt(i * recordSize)
-              queues(w).put(Sample(transform(parser.parse(rec)), label))
-              i += 1
-            }
-          }
-        } catch {
-          case e: Throwable => failure.compareAndSet(null, e)
-        } finally queues(w).put(WorkerDone)
-      }, s"local-dataset-worker-$w")
-      t.setDaemon(true)
-      t.start()
-    }
-
-    new Iterator[TrainBatch] {
-      private val active    = mutable.Queue.empty[Int] ++ queues.indices
-      private var nextBatch = fetchNext()
-
-      private def fetchNext(): Option[TrainBatch] = {
-        while (active.nonEmpty) {
-          val w  = active.dequeue()
-          val xs = Array.newBuilder[Array[Float]]
-          val ys = Array.newBuilder[Int]
-          var n  = 0
-          var done = false
-          while (n < batchSize && !done) {
-            queues(w).take() match {
-              case WorkerDone => done = true
-              case s: Sample  => xs += s.x; ys += s.label; n += 1
-              case other      => throw new IllegalStateException(s"unexpected $other")
-            }
-          }
-          if (!done) active.enqueue(w)
-          if (n > 0)
-            return Some(TrainBatch(new Array[Long](n), xs.result(), ys.result(),
-              Array.fill(n)(1.0)))
-        }
-        if (failure.get() != null) throw failure.get()
-        None
-      }
-
-      override def hasNext: Boolean = nextBatch.isDefined
-      override def next(): TrainBatch = { val b = nextBatch.get; nextBatch = fetchNext(); b }
-    }
+    Loader.batches((0 until numWorkers).map { w =>
+      (out: Loader.Sink) => produce(assignment.getOrElse(w, Seq.empty), out)
+    }, batchSize, chunkSize = batchSize)
   }
+
+  /** Parse the samples of `mine`, in file order, into chunks of
+    * `batchSize` that may span files.
+    */
+  private def produce(mine: Seq[FileMeta], out: Loader.Sink): Unit =
+    mine.iterator.takeWhile(_ => !out.failed)
+      .flatMap(f => FileWrapperType.instantiate(f.wrapperType, fs, f.path).extractAll())
+      .grouped(batchSize)
+      .foreach { chunk =>
+        val n = chunk.size
+        out.put(TrainBatch(new Array[Long](n),
+          chunk.iterator.map(s => transform(parser.parse(s.payload))).toArray,
+          chunk.iterator.map(_.label.toInt).toArray, Array.fill(n)(1.0)))
+      }
 }

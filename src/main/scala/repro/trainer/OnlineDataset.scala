@@ -1,7 +1,7 @@
 package repro.trainer
 
-import java.util.concurrent.{ArrayBlockingQueue, LinkedBlockingQueue, Semaphore}
-import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
+import java.util.concurrent.{LinkedBlockingQueue, Semaphore}
+import java.util.concurrent.atomic.AtomicInteger
 import repro.selector.TriggerTrainingSet
 import repro.storage.{PayloadBatch, StorageService}
 import scala.collection.mutable
@@ -79,8 +79,8 @@ final class InMemorySource(keys: Array[Long], weights: Array[Double],
   * (with `storageThreads` retrieval threads) into the slot *chunk by
   * chunk*; the worker's main thread consumes partitions in order but
   * starts parsing as soon as the first chunk arrives, so batch latency
-  * does not depend on partition size. Batches are collected from workers
-  * round-robin.
+  * does not depend on partition size. The worker threads, their queues
+  * and the round-robin batch assembly are the shared [[Loader]]'s.
   */
 final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
                           parser: BytesParser, transform: Transform,
@@ -91,100 +91,86 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
     * prefetch threads.
     */
   private final case class RawChunk(chunk: PayloadBatch, weightOf: mutable.LongMap[Double])
-  private object WorkerDone
   private object PartitionDone
 
-  /** Parsed chunks a worker may run ahead of the consumer: four batches'
-    * worth, and at least two. A chunk holds `sendBufferSize` samples, or
-    * fewer when a retrieval thread's part of a worker share is smaller.
+  /** Samples per parsed chunk: `sendBufferSize`, or fewer when a retrieval
+    * thread's part of a worker share is smaller.
     */
-  private val queueChunks = {
-    val part  = source.totalSamples / math.max(1, source.numPartitions) /
+  private val chunkSize = {
+    val part = source.totalSamples / math.max(1, source.numPartitions) /
       (cfg.numWorkers * cfg.storageThreads)
-    val chunk = math.max(1L, math.min(storage.sendBufferSize.toLong, part))
-    math.max(2L, (4L * cfg.batchSize + chunk - 1) / chunk).toInt
+    math.max(1L, math.min(storage.sendBufferSize.toLong, part))
   }
 
   /** Iterate the trigger training set once as training batches. The
     * iterator must be fully consumed; worker errors are rethrown here.
     */
-  def batches(): Iterator[TrainBatch] = {
-    val failure = new AtomicReference[Throwable](null)
-    val queues  = IndexedSeq.fill(cfg.numWorkers)(new ArrayBlockingQueue[AnyRef](queueChunks))
-
-    (0 until cfg.numWorkers).foreach { w =>
-      val t = new Thread(() => runWorker(w, queues(w), failure), s"online-dataset-worker-$w")
-      t.setDaemon(true)
-      t.start()
-    }
-    assemble(queues, failure)
-  }
+  def batches(): Iterator[TrainBatch] =
+    Loader.batches((0 until cfg.numWorkers).map(w => (out: Loader.Sink) => runWorker(w, out)),
+      cfg.batchSize, chunkSize)
 
   /** Worker main loop: produce parsed chunks of this worker's share of
     * every partition, in partition order, into `out`.
     */
-  private def runWorker(workerId: Int, out: ArrayBlockingQueue[AnyRef],
-                        failure: AtomicReference[Throwable]): Unit = {
-    try {
-      val nParts = source.numPartitions
-      if (cfg.prefetchedPartitions == 0) {
-        // No prefetching: blocking fetch of the whole partition share,
-        // then parse — no fetch/compute overlap, like a dataloader
-        // without the prefetch machinery.
-        var p = 0
-        while (p < nParts && failure.get() == null) {
-          val raws = fetchChunks(workerId, p).toIndexedSeq
-          raws.foreach(r => out.put(parse(r)))
-          p += 1
-        }
-      } else {
-        val chunkQueues = IndexedSeq.fill(nParts)(new LinkedBlockingQueue[AnyRef]())
-        val permits     = new Semaphore(cfg.prefetchedPartitions)
-        val nextPart    = new AtomicInteger(0)
-        (0 until cfg.parallelPrefetchRequests).foreach { pf =>
-          val t = new Thread(() => {
-            try {
-              var running = true
-              while (running && failure.get() == null) {
-                permits.acquire()
-                val p = nextPart.getAndIncrement()
-                if (p >= nParts) { permits.release(); running = false }
-                else {
-                  // Prefetch threads move raw bytes only; parsing stays on
-                  // the worker's main thread (§4.2.1). Chunks stream into
-                  // the buffer as they arrive so consumption can start
-                  // before the partition finishes transferring.
-                  try fetchChunks(workerId, p).foreach(chunkQueues(p).put(_))
-                  finally chunkQueues(p).put(PartitionDone)
-                }
-              }
-            } catch {
-              case e: Throwable =>
-                failure.compareAndSet(null, e)
-                // Unblock the consumer on every not-yet-finished partition.
-                chunkQueues.foreach(_.put(PartitionDone))
-            }
-          }, s"prefetch-$workerId-$pf")
-          t.setDaemon(true)
-          t.start()
-        }
-        var p = 0
-        while (p < nParts && failure.get() == null) {
-          var done = false
-          while (!done) {
-            chunkQueues(p).take() match {
-              case PartitionDone => done = true
-              case r: RawChunk   => out.put(parse(r))
-              case other         => throw new IllegalStateException(s"unexpected $other")
-            }
-          }
-          permits.release() // partition consumed: free its buffer slot
-          p += 1
-        }
+  private def runWorker(workerId: Int, out: Loader.Sink): Unit = {
+    val nParts = source.numPartitions
+    if (cfg.prefetchedPartitions == 0) {
+      // No prefetching: blocking fetch of the whole partition share,
+      // then parse — no fetch/compute overlap, like a dataloader
+      // without the prefetch machinery.
+      var p = 0
+      while (p < nParts && !out.failed) {
+        val raws = fetchChunks(workerId, p).toIndexedSeq
+        raws.foreach(r => out.put(parse(r)))
+        p += 1
       }
-    } catch {
-      case e: Throwable => failure.compareAndSet(null, e)
-    } finally out.put(WorkerDone)
+    } else {
+      val chunkQueues = IndexedSeq.fill(nParts)(new LinkedBlockingQueue[AnyRef]())
+      val permits     = new Semaphore(cfg.prefetchedPartitions)
+      val nextPart    = new AtomicInteger(0)
+      (0 until cfg.parallelPrefetchRequests).foreach { pf =>
+        val t = new Thread(() => {
+          try {
+            var running = true
+            while (running && !out.failed) {
+              permits.acquire()
+              val p = nextPart.getAndIncrement()
+              if (p >= nParts) { permits.release(); running = false }
+              else {
+                // Prefetch threads move raw bytes only; parsing stays on
+                // the worker's main thread (§4.2.1). Chunks stream into
+                // the buffer as they arrive so consumption can start
+                // before the partition finishes transferring.
+                fetchChunks(workerId, p).foreach(chunkQueues(p).put(_))
+                chunkQueues(p).put(PartitionDone)
+              }
+            }
+          } catch {
+            case e: Throwable =>
+              // Record the failure before any PartitionDone: the worker
+              // may otherwise finish its last partition and stop cleanly.
+              out.fail(e)
+              // Unblock the consumer on every not-yet-finished partition.
+              chunkQueues.foreach(_.put(PartitionDone))
+          }
+        }, s"prefetch-$workerId-$pf")
+        t.setDaemon(true)
+        t.start()
+      }
+      var p = 0
+      while (p < nParts && !out.failed) {
+        var done = false
+        while (!done) {
+          chunkQueues(p).take() match {
+            case PartitionDone => done = true
+            case r: RawChunk   => out.put(parse(r))
+            case other         => throw new IllegalStateException(s"unexpected $other")
+          }
+        }
+        permits.release() // partition consumed: free its buffer slot
+        p += 1
+      }
+    }
   }
 
   /** Fetch this worker's share of one partition as raw payload chunks:
@@ -220,64 +206,4 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
     }
     TrainBatch(c.keys, xs, ys, ws)
   }
-
-  /** Round-robin batch assembly across workers (§4.2.1): take up to
-    * `batchSize` samples from one worker, yield the batch, move to the
-    * next; a worker that finishes yields its final partial batch and
-    * leaves the rotation. A batch is cut from the worker's parsed chunks,
-    * so it may span several chunks and a chunk several batches.
-    */
-  private def assemble(queues: IndexedSeq[ArrayBlockingQueue[AnyRef]],
-                       failure: AtomicReference[Throwable]): Iterator[TrainBatch] =
-    new Iterator[TrainBatch] {
-      private val active    = mutable.Queue.empty[Int] ++ queues.indices
-      // Each worker's partly consumed chunk and the next position in it.
-      private val current   = new Array[TrainBatch](queues.size)
-      private val pos       = new Array[Int](queues.size)
-      private var nextBatch = fetchNext()
-
-      private def fetchNext(): Option[TrainBatch] = {
-        while (active.nonEmpty) {
-          val w    = active.dequeue()
-          val keys = new Array[Long](cfg.batchSize)
-          val xs   = new Array[Array[Float]](cfg.batchSize)
-          val ys   = new Array[Int](cfg.batchSize)
-          val ws   = new Array[Double](cfg.batchSize)
-          var n    = 0
-          var done = false
-          while (n < cfg.batchSize && !done) {
-            val c = current(w)
-            if (c == null || pos(w) == c.size) {
-              queues(w).take() match {
-                case WorkerDone    => done = true
-                case b: TrainBatch => current(w) = b; pos(w) = 0
-                case other         => throw new IllegalStateException(s"unexpected $other")
-              }
-            } else {
-              val k = math.min(c.size - pos(w), cfg.batchSize - n)
-              System.arraycopy(c.keys, pos(w), keys, n, k)
-              System.arraycopy(c.features, pos(w), xs, n, k)
-              System.arraycopy(c.labels, pos(w), ys, n, k)
-              System.arraycopy(c.weights, pos(w), ws, n, k)
-              pos(w) += k
-              n += k
-            }
-          }
-          if (!done) active.enqueue(w)
-          if (n == cfg.batchSize) return Some(TrainBatch(keys, xs, ys, ws))
-          if (n > 0) return Some(TrainBatch(java.util.Arrays.copyOf(keys, n),
-            java.util.Arrays.copyOf(xs, n), java.util.Arrays.copyOf(ys, n),
-            java.util.Arrays.copyOf(ws, n)))
-        }
-        if (failure.get() != null) throw failure.get()
-        None
-      }
-
-      override def hasNext: Boolean = nextBatch.isDefined
-      override def next(): TrainBatch = {
-        val b = nextBatch.get
-        nextBatch = fetchNext()
-        b
-      }
-    }
 }

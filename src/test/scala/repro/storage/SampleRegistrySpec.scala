@@ -2,10 +2,9 @@ package repro.storage
 
 import java.nio.{ByteBuffer, ByteOrder}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
 import repro.TestUtil.withTmpDir
 
-class SampleRegistrySpec extends SparkSpec {
+class SampleRegistrySpec extends AnyFunSuite {
   private val fs = new LocalFileSystemWrapper
 
   private def binFile(path: String, labels: Seq[Int], recordSize: Int = 16): Unit = {
@@ -157,30 +156,5 @@ class SampleRegistrySpec extends SparkSpec {
     assert(r.files.map(_.fileId) == (0 until 300))
     assert(r.files.map(_.path) == (0 until 300).map(i => s"f$i"))
     r.close()
-  }
-
-  test("mirrorToParquet exposes the metadata to Spark") {
-    withTmpDir { dir =>
-      val r = new SampleRegistry
-      r.ingestPrecomputed(s"$dir/a.bin", FileWrapperType.Binary(16),
-        IndexedSeq(5L, 6L, 7L), i => i.toLong)
-      val df = r.mirrorToParquet(spark, s"$dir/parquet")
-      assert(df.count() == 3)
-      assert(df.columns.toSet == Set("key", "file_id", "idx", "label", "ts"))
-      assert(df.filter("label = 6").count() == 1)
-      r.close()
-    }
-  }
-
-  test("mirrorToParquet reflects deletions") {
-    withTmpDir { dir =>
-      val r = new SampleRegistry
-      val metas = r.ingestPrecomputed(s"$dir/a.bin", FileWrapperType.Binary(16),
-        IndexedSeq(1L, 2L, 3L, 4L))
-      r.deleteSamples(metas.take(2).map(_.key))
-      val df = r.mirrorToParquet(spark, s"$dir/parquet")
-      assert(df.count() == 2)
-      r.close()
-    }
   }
 }

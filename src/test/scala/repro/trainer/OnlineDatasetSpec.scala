@@ -206,6 +206,26 @@ class OnlineDatasetSpec extends AnyFunSuite {
     }
   }
 
+  test("a prefetch failure on the last partition always reaches the consumer") {
+    withTmpDir { dir =>
+      val (r, storage, _) = setup(dir, 10, partitionSize = 10)
+      val broken = new TrainingSetSource {
+        override def numPartitions: Int = 1
+        override def totalSamples: Long = 1
+        override def workerShare(partition: Int, workerId: Int, numWorkers: Int): (Array[Long], Array[Double]) =
+          throw new IllegalStateException("share read failed")
+      }
+      // The race between the prefetch thread's failure and its worker's
+      // clean finish is narrow: repeat to make a lost failure show.
+      (0 until 300).foreach { _ =>
+        val ds = new OnlineDataset(broken, storage, new CriteoBytesParser(16),
+          IdentityTransform, cfg(1, prefetch = 1))
+        intercept[IllegalStateException] { ds.batches().toSeq }
+      }
+      r.close()
+    }
+  }
+
   test("config validation") {
     intercept[IllegalArgumentException] { OnlineDatasetConfig(0, 1, 1, 1, 1) }
     intercept[IllegalArgumentException] { OnlineDatasetConfig(1, 0, 1, 1, 1) }
