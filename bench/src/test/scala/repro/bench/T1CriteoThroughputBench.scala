@@ -20,6 +20,17 @@ class T1CriteoThroughputBench extends AnyFunSuite {
       def r(part: Int, st: Int, w: Int, b: Int, p: Int): Double = res((part, st, w, b, p))
       val (small, large) = (cfg.smallPartition, cfg.largePartition)
 
+      // Each assertion below as (name, left side, right side, the factor
+      // left / right must exceed), printed first so every margin is logged.
+      val margins = Seq(
+        ("1 prefetch helps 1 worker (large)", r(large, 1, 1, 1, 1), r(large, 1, 1, 0, 1), 1.05),
+        ("2 16 workers vs 1 (large)", r(large, 1, 16, 1, 1), r(large, 1, 1, 1, 1), 1.5),
+        ("3 large vs small at 16 workers", r(large, 1, 16, 1, 1), r(small, 1, 16, 1, 1), 1.0),
+        ("4 1 vs 8 storage threads (small, 16 workers)", r(small, 1, 16, 0, 1), r(small, 8, 16, 0, 1), 1.0))
+      margins.foreach { case (name, left, right, factor) =>
+        println(f"T1 margin $name%-46s $left%9.1f / $right%9.1f = ${left / right}%6.3f (needs > $factor%.2f)")
+      }
+
       // Shape assertions from §5.1.1, with thresholds far looser than the
       // paper's factors to tolerate machine noise.
       // 1. Prefetching one partition helps a single worker — asserted on

@@ -16,7 +16,7 @@ final case class PayloadBatch(keys: Array[Long], payloads: Array[Array[Byte]], l
   *
   * Given an arbitrary set of sample keys, the service partitions the key
   * list into `nThreads` equal parts; each thread resolves its keys to
-  * (file, offset) via the metadata database (sorted by file), instantiates
+  * (file, offset) via the registry's key index (sorted by file), instantiates
   * a [[FileWrapper]] per file, extracts the requested samples into a send
   * buffer, and emits the buffer whenever it is full or all files have been
   * iterated. Emitted buffers stream through a bounded queue so consumers
@@ -46,11 +46,8 @@ final class StorageService(registry: SampleRegistry, fs: FileSystemWrapper,
 
     parts.filter(_.nonEmpty).foreach { part =>
       val t = new Thread(() => {
-        try {
-          val conn = registry.duplicateConnection()
-          try retrievePart(conn, part, queue.put(_))
-          finally conn.close()
-        } catch {
+        try retrievePart(part, queue.put(_))
+        catch {
           case e: Throwable => failure.compareAndSet(null, e)
         } finally queue.put(Done)
       }, "storage-retrieval")
@@ -94,12 +91,11 @@ final class StorageService(registry: SampleRegistry, fs: FileSystemWrapper,
       batches.flatMap(_.labels).toArray)
   }
 
-  /** One retrieval thread's work: metadata join, then file-by-file extraction
-    * into send buffers.
+  /** One retrieval thread's work: key-index lookup, then file-by-file
+    * extraction into send buffers.
     */
-  private def retrievePart(conn: java.sql.Connection, part: Array[Long],
-                           emit: PayloadBatch => Unit): Unit = {
-    val metas = registry.lookup(conn, part)
+  private def retrievePart(part: Array[Long], emit: PayloadBatch => Unit): Unit = {
+    val metas = registry.lookup(part)
     if (metas.length != part.length) {
       val missing = part.toSet -- metas.map(_.key).toSet
       throw new NoSuchElementException(

@@ -1,6 +1,7 @@
 package repro.storage
 
 import java.nio.{ByteBuffer, ByteOrder}
+import org.duckdb.DuckDBConnection
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil.withTmpDir
 
@@ -133,28 +134,127 @@ class SampleRegistrySpec extends AnyFunSuite {
 
   test("fileMeta reads race-free with ingest; files stay in id order") {
     val r         = new SampleRegistry
+    val sizes     = (0 until 300).map(i => 1 + i % 7)
+    val firstKey  = sizes.scanLeft(1L)(_ + _) // firstKey(i): key of file i's sample 0
     val published = new java.util.concurrent.atomic.AtomicInteger(0)
     val failure   = new java.util.concurrent.atomic.AtomicReference[Throwable](null)
-    val readers = (0 until 3).map { _ =>
-      val t = new Thread(() => {
-        try while (published.get() < 300) {
+    val fileReaders = (0 until 3).map { _ =>
+      () => while (published.get() < 300) {
+        val n = published.get()
+        if (n > 0) {
+          val id = n - 1
+          assert(r.fileMeta(id).path == s"f$id")
+        }
+      }
+    }
+    // Lookups of already-ingested keys, in random order with duplicates,
+    // must return every row, complete and sorted by (file, idx).
+    val lookupReaders = (0 until 2).map { t =>
+      () => {
+        val rnd = new scala.util.Random(t)
+        while (published.get() < 300) {
           val n = published.get()
           if (n > 0) {
-            val id = n - 1
-            assert(r.fileMeta(id).path == s"f$id")
+            val keys = Array.fill(1 + rnd.nextInt(64))(1L + rnd.nextInt((firstKey(n) - 1).toInt))
+            val got  = r.lookup(keys)
+            assert(got.map(_.key).toSeq == keys.sorted.toSeq)
+            got.foreach { m =>
+              val file = firstKey.lastIndexWhere(_ <= m.key)
+              assert(m.fileId == file && m.indexInFile == (m.key - firstKey(file)).toInt)
+              assert(m.label == m.key * 3 && m.timestampSec == file.toLong)
+            }
+            assert(got.map(m => (m.fileId, m.indexInFile)).toSeq ==
+              got.map(m => (m.fileId, m.indexInFile)).toSeq.sorted)
           }
-        } catch { case e: Throwable => failure.compareAndSet(null, e) }
+        }
+      }
+    }
+    val readers = (fileReaders ++ lookupReaders).map { body =>
+      val t = new Thread(() => {
+        try body() catch { case e: Throwable => failure.compareAndSet(null, e) }
       })
       t.start(); t
     }
     (0 until 300).foreach { i =>
-      r.ingestPrecomputed(s"f$i", FileWrapperType.SingleSample, IndexedSeq(i.toLong))
+      r.ingestPrecomputed(s"f$i", FileWrapperType.SingleSample,
+        IndexedSeq.tabulate(sizes(i))(j => (firstKey(i) + j) * 3), _ => i.toLong)
       published.set(i + 1)
     }
     readers.foreach(_.join())
     assert(failure.get() == null, String.valueOf(failure.get()))
     assert(r.files.map(_.fileId) == (0 until 300))
     assert(r.files.map(_.path) == (0 until 300).map(i => s"f$i"))
+    r.close()
+  }
+
+  /** The temp-table join that resolved keys before the key index, run on
+    * the registry's `samples` table: the reference for `lookup`.
+    */
+  private def sqlLookup(r: SampleRegistry, keys: Array[Long]): Seq[SampleMeta] = {
+    val conn = r.duplicateConnection()
+    val st   = conn.createStatement()
+    try {
+      st.execute("CREATE TABLE req (key BIGINT)")
+      val app = conn.asInstanceOf[DuckDBConnection].createAppender(DuckDBConnection.DEFAULT_SCHEMA, "req")
+      keys.foreach { k => app.beginRow(); app.append(k); app.endRow() }
+      app.close()
+      rows(st.executeQuery(
+        """SELECT r.key, s.file_id, s.idx, s.label, s.ts
+          |FROM req r JOIN samples s ON r.key = s.key
+          |ORDER BY s.file_id, s.idx""".stripMargin))
+    } finally {
+      st.execute("DROP TABLE req"); st.close(); conn.close()
+    }
+  }
+
+  private def rows(rs: java.sql.ResultSet): Seq[SampleMeta] = {
+    val out = Seq.newBuilder[SampleMeta]
+    while (rs.next())
+      out += SampleMeta(rs.getLong(1), rs.getInt(2), rs.getInt(3), rs.getLong(4), rs.getLong(5))
+    rs.close()
+    out.result()
+  }
+
+  test("lookup and allSamplesByTime match SQL over the samples table") {
+    val r = new SampleRegistry
+    // 4 threads ingest 40 files each at once: sizes 1..50, labels and
+    // timestamps random, timestamps with many ties.
+    val ingesters = (0 until 4).map { t =>
+      val th = new Thread(() => {
+        val rnd = new scala.util.Random(100 + t)
+        (0 until 40).foreach { f =>
+          val n = 1 + rnd.nextInt(50)
+          val labels = IndexedSeq.fill(n)(rnd.nextInt(10).toLong)
+          val ts     = IndexedSeq.fill(n)(rnd.nextInt(20).toLong)
+          r.ingestPrecomputed(s"t${t}_f$f", FileWrapperType.SingleSample, labels, ts)
+        }
+      })
+      th.start(); th
+    }
+    ingesters.foreach(_.join())
+    assert(r.files.size == 160)
+    val numKeys = r.numSamples
+    val rnd     = new scala.util.Random(7)
+    val deleted = Seq.fill(200)(1L + rnd.nextInt(numKeys.toInt)).distinct
+    assert(r.deleteSamples(deleted) == deleted.size)
+    assert(r.deleteSamples(deleted.take(5) :+ (numKeys + 1)) == 0)
+
+    (1 to 20).foreach { seed =>
+      val rnd     = new scala.util.Random(seed)
+      val known   = Array.fill(rnd.nextInt(500))(1L + rnd.nextInt(numKeys.toInt))
+      val dups    = known.take(rnd.nextInt(50))
+      val gone    = rnd.shuffle(deleted).take(rnd.nextInt(30))
+      val unknown = Seq(0L, -3L, numKeys + 1, numKeys + 1 + rnd.nextInt(1000), Long.MaxValue)
+      val keys    = rnd.shuffle((known ++ dups ++ gone ++ unknown).toSeq).toArray
+      assert(r.lookup(keys).toSeq == sqlLookup(r, keys), s"seed $seed")
+    }
+
+    val conn = r.duplicateConnection()
+    val st   = conn.createStatement()
+    val byTime = rows(st.executeQuery("SELECT key, file_id, idx, label, ts FROM samples ORDER BY ts, key"))
+    st.close(); conn.close()
+    assert(byTime.size == numKeys - deleted.size)
+    assert(r.allSamplesByTime() == byTime)
     r.close()
   }
 }
