@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 import repro.core.triggers.Trigger
-import repro.evaluator.{EvalResult, Evaluator}
+import repro.evaluator.{EvalBlock, EvalResult, Evaluator}
 import repro.modelstorage.ModelStorage
 import repro.selector.{NewSample, SelectorContext, StrategyFactory, TriggerSampleStorage}
 import repro.storage.{FileSystemWrapper, SampleMeta, SampleRegistry, StorageService}
@@ -13,10 +13,14 @@ import repro.trainer._
   */
 final case class EvalSet(name: String, keys: Array[Long])
 
-/** Everything recorded about one trigger's training run. */
+/** Everything recorded about one trigger's training run. `evalMs` is the
+  * wall time of the trigger's evaluation, including any retrieval of eval
+  * data it did.
+  */
 final case class TriggerReport(triggerId: Int, training: TrainingResult,
                                storedModelBytes: Long,
-                               evals: Map[String, Seq[EvalResult]])
+                               evals: Map[String, Seq[EvalResult]],
+                               evalMs: Long = 0L)
 
 /** The pipeline execution's output: one report per trigger, in order.
   * `accuracyMatrix` renders the Fig. 9/10 protocol — each trained model
@@ -38,11 +42,23 @@ final case class PipelineReport(pipelineName: String, triggers: Seq[TriggerRepor
   * new"), the triggering policy is evaluated on every incoming batch,
   * and each trigger runs selection → training → model storage →
   * evaluation (§3.4's data flow, steps 1–7).
+  *
+  * The eval sets are retrieved and parsed once per run, at the first
+  * evaluation, into one [[EvalBlock]] held under `evalBudgetBytes` (by
+  * default 1/8 of the JVM's max heap); a set that does not fit is streamed
+  * from storage on every evaluation instead.
   */
-final class Supervisor(pipeline: PipelineConfig, registry: SampleRegistry,
-                       storage: StorageService, fs: FileSystemWrapper, workDir: String,
-                       spark: Option[SparkSession] = None,
-                       transform: Transform = IdentityTransform) {
+final class Supervisor private[core] (pipeline: PipelineConfig, registry: SampleRegistry,
+                                      storage: StorageService, fs: FileSystemWrapper,
+                                      workDir: String, spark: Option[SparkSession],
+                                      transform: Transform, evalBudgetBytes: Long) {
+
+  def this(pipeline: PipelineConfig, registry: SampleRegistry,
+           storage: StorageService, fs: FileSystemWrapper, workDir: String,
+           spark: Option[SparkSession] = None,
+           transform: Transform = IdentityTransform) =
+    this(pipeline, registry, storage, fs, workDir, spark, transform,
+      Runtime.getRuntime.maxMemory / 8)
 
   /** Replay all registered data and return the per-trigger reports.
     *
@@ -80,6 +96,34 @@ final class Supervisor(pipeline: PipelineConfig, registry: SampleRegistry,
     val reports = Seq.newBuilder[TriggerReport]
     var trained = 0 // number of completed triggers
 
+    def decomposable() = pipeline.evalMetrics.filter(m => m == "Accuracy" || m == "F1Macro")
+      .map(Evaluator.decomposableByName)
+    def holistic() = pipeline.evalMetrics.filter(_ == "RocAuc").map(Evaluator.holisticByName)
+
+    // Which eval sets go into the block: in order, each that still fits.
+    var budget  = evalBudgetBytes
+    val inBlock = evalSets.map { set =>
+      val need = set.keys.length * Supervisor.evalRowBytes(parser.dim)
+      if (need <= budget) { budget -= need; true } else false
+    }
+    val blockSets = evalSets.zip(inBlock).collect { case (set, true) => set }
+    lazy val block = evalBlock(blockSets, parser)
+
+    /** Every eval set's results for the model: the sets in the block from
+      * one scoring pass over it, after checking that none of their keys
+      * was deleted since the block was filled; the others streamed.
+      */
+    def evaluate(): Map[String, Seq[EvalResult]] = {
+      val fromBlock = if (blockSets.isEmpty) Iterator.empty else {
+        blockSets.foreach(set => storage.requireKeys(set.keys))
+        Evaluator.evaluateBlock(model, block, decomposable(), holistic()).iterator
+      }
+      evalSets.zip(inBlock).map { case (set, cached) =>
+        set.name -> (if (cached) fromBlock.next()
+          else Evaluator.evaluate(model, evalFeatures(set, parser), decomposable(), holistic()))
+      }.toMap
+    }
+
     def fireTrigger(): Unit = {
       val triggerId = strategy.nextTriggerId
       val tts       = strategy.onTrigger()
@@ -102,14 +146,11 @@ final class Supervisor(pipeline: PipelineConfig, registry: SampleRegistry,
         seed = pipeline.seed ^ triggerId.toLong)
       val result = trainer.runTraining(model, tts, runCfg, strategy.downsampling)
 
-      val bytes = modelStore.store(trained, model.weights)
-      val evals = evalSets.map { set =>
-        set.name -> Evaluator.evaluate(model, evalFeatures(set, parser),
-          pipeline.evalMetrics.filter(m => m == "Accuracy" || m == "F1Macro")
-            .map(Evaluator.decomposableByName),
-          pipeline.evalMetrics.filter(_ == "RocAuc").map(Evaluator.holisticByName))
-      }.toMap
-      reports += TriggerReport(triggerId, result, bytes, evals)
+      val bytes     = modelStore.store(trained, model.weights)
+      val evalStart = System.nanoTime()
+      val evals     = evaluate()
+      reports += TriggerReport(triggerId, result, bytes, evals,
+        (System.nanoTime() - evalStart) / 1000000L)
       trained += 1
     }
 
@@ -132,6 +173,19 @@ final class Supervisor(pipeline: PipelineConfig, registry: SampleRegistry,
     PipelineReport(pipeline.pipelineName, reports.result())
   }
 
+  /** Retrieve and parse `sets` into one row block, in set order. */
+  private def evalBlock(sets: Seq[EvalSet], parser: BytesParser): EvalBlock = {
+    val rows    = Array.newBuilder[Array[Float]]
+    val labels  = Array.newBuilder[Int]
+    val offsets = Array.newBuilder[Int] += 0
+    var n = 0
+    sets.foreach { set =>
+      evalFeatures(set, parser).foreach { case (x, y) => rows += x; labels += y; n += 1 }
+      offsets += n
+    }
+    new EvalBlock(rows.result(), labels.result(), offsets.result())
+  }
+
   /** Stream an eval set's (features, label) pairs through storage+parser. */
   private def evalFeatures(set: EvalSet, parser: BytesParser): Iterator[(Array[Float], Int)] =
     storage.retrieve(set.keys, nThreads = 4).flatMap { chunk =>
@@ -142,6 +196,11 @@ final class Supervisor(pipeline: PipelineConfig, registry: SampleRegistry,
 }
 
 object Supervisor {
+  /** Heap bytes one parsed eval row of `dim` features takes in the eval
+    * block: its float array, the reference to it, and its label.
+    */
+  private[core] def evalRowBytes(dim: Int): Long = 16L + 4L * dim + 8 + 4
+
   /** Convenience for tests/jobs: per-year CLOC eval sets from metadata. */
   def yearlyEvalSets(metas: Seq[SampleMeta]): Seq[EvalSet] =
     metas.groupBy(m => repro.datagen.ClocLite.yearOfTimestamp(m.timestampSec))

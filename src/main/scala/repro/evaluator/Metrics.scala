@@ -1,5 +1,6 @@
 package repro.evaluator
 
+import java.util.stream.IntStream
 import repro.trainer.Model
 
 /** A metric computed incrementally, one prediction at a time, without
@@ -92,12 +93,26 @@ final class RocAuc extends HolisticMetric {
 /** One evaluation request's result. */
 final case class EvalResult(metric: String, value: Double, numSamples: Long)
 
+/** Parsed eval sets, back to back in one row block: set `s` owns rows
+  * `offsets(s)` until `offsets(s + 1)`, each row the features
+  * `BytesParser.parse` returned for one sample, with its label.
+  */
+final class EvalBlock(val rows: Array[Array[Float]], val labels: Array[Int], val offsets: Array[Int]) {
+  require(rows.length == labels.length, "rows/labels arity mismatch")
+  require(offsets.nonEmpty && offsets(0) == 0 && offsets.last == rows.length,
+    "offsets must run from 0 to the row count")
+  def numSets: Int = offsets.length - 1
+}
+
 /** The evaluator component (§4.3): runs a model over an evaluation set and
   * computes the configured metrics. Decomposable metrics are updated
   * incrementally; forward-pass scores are retained only when a holistic
   * metric is requested, mirroring the paper's memory optimization.
   */
 object Evaluator {
+
+  /** Rows per task of `evaluateBlock`'s parallel scoring pass. */
+  private val RangeRows = 256
 
   /** Evaluate `model` on `(features, labels)` with the given metrics. */
   def evaluate(model: Model, features: Iterator[(Array[Float], Int)],
@@ -109,22 +124,77 @@ object Evaluator {
     val labelBuf   = Array.newBuilder[Int]
     var n = 0L
     features.foreach { case (x, y) =>
-      val s    = model.scores(x)
-      var best = 0; var c = 1
-      while (c < s.length) { if (s(c) > s(best)) best = c; c += 1 }
+      val s = model.scores(x)
+      val best = argmax(s)
       decomposable.foreach(_.observe(best, y))
       if (keepScores) {
-        // Binary: positive-class score; multiclass: true-class score.
-        scoreBuf += (if (s.length == 2) s(1) else s(y))
+        scoreBuf += holisticScore(s, y)
         labelBuf += y
       }
       n += 1
     }
-    decomposable.map(m => EvalResult(m.name, m.value, n)) ++
-      holistic.map { m =>
-        EvalResult(m.name, m.compute(scoreBuf.result(), labelBuf.result()), n)
-      }
+    results(decomposable, holistic, n, scoreBuf.result(), labelBuf.result())
   }
+
+  /** Evaluate `model` on every set of `block`, giving one result list per
+    * set, each equal to what [[evaluate]] gives on that set's rows.
+    *
+    * One scoring pass runs `model.scores` over the whole block in fixed
+    * 256-row ranges on the common ForkJoin pool, and writes each
+    * row's argmax (and its holistic score, only when a holistic metric is
+    * requested) into per-row arrays. Each set's metrics are then reset and
+    * folded on the calling thread in row order, so the results do not
+    * depend on thread count or scheduling.
+    */
+  def evaluateBlock(model: Model, block: EvalBlock, decomposable: Seq[DecomposableMetric],
+                    holistic: Seq[HolisticMetric]): IndexedSeq[Seq[EvalResult]] = {
+    val n          = block.rows.length
+    val keepScores = holistic.nonEmpty
+    val predicted  = new Array[Int](n)
+    val scores     = if (keepScores) new Array[Double](n) else Array.emptyDoubleArray
+    IntStream.range(0, (n + RangeRows - 1) / RangeRows).parallel().forEach { (r: Int) =>
+      var i   = r * RangeRows
+      val end = math.min(n, i + RangeRows)
+      while (i < end) {
+        val s = model.scores(block.rows(i))
+        predicted(i) = argmax(s)
+        if (keepScores) scores(i) = holisticScore(s, block.labels(i))
+        i += 1
+      }
+    }
+    (0 until block.numSets).map { set =>
+      val from  = block.offsets(set)
+      val until = block.offsets(set + 1)
+      decomposable.foreach(_.reset())
+      var i = from
+      while (i < until) {
+        val p = predicted(i); val y = block.labels(i)
+        decomposable.foreach(_.observe(p, y))
+        i += 1
+      }
+      if (keepScores)
+        results(decomposable, holistic, until - from,
+          java.util.Arrays.copyOfRange(scores, from, until),
+          java.util.Arrays.copyOfRange(block.labels, from, until))
+      else results(decomposable, holistic, until - from, scores, Array.emptyIntArray)
+    }
+  }
+
+  private def argmax(s: Array[Double]): Int = {
+    var best = 0; var c = 1
+    while (c < s.length) { if (s(c) > s(best)) best = c; c += 1 }
+    best
+  }
+
+  /** The score a holistic metric sees: binary, the positive-class score;
+    * multiclass, the true-class score.
+    */
+  private def holisticScore(s: Array[Double], y: Int): Double = if (s.length == 2) s(1) else s(y)
+
+  private def results(decomposable: Seq[DecomposableMetric], holistic: Seq[HolisticMetric],
+                      n: Long, scores: Array[Double], labels: Array[Int]): Seq[EvalResult] =
+    decomposable.map(m => EvalResult(m.name, m.value, n)) ++
+      holistic.map(m => EvalResult(m.name, m.compute(scores, labels), n))
 
   /** Resolve metrics by pipeline name. */
   def decomposableByName(name: String): DecomposableMetric = name match {

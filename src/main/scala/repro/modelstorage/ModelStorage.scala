@@ -23,27 +23,37 @@ final class ModelStorage(fs: FileSystemWrapper, dir: String, fullModelEverySteps
   /** True iff `modelId` is stored as a full model (I-frame). */
   def isFullModel(modelId: Int): Boolean = modelId % fullModelEverySteps == 0
 
+  // The bit patterns of the model this instance stored last, and its id:
+  // the base of the next P-frame, so that a store never reads the chain.
+  private var lastId   = -1
+  private var lastBits = Array.emptyLongArray
+
   /** Store the weights of model `modelId` (ids must be stored in order,
     * starting at 0). Returns the stored byte size.
     *
     * The difference operator is XOR over the raw IEEE-754 bit patterns:
     * unlike an arithmetic difference it is *exactly* reversible (no
     * rounding on restore), and unchanged weights still become all-zero
-    * words that the Deflater collapses.
+    * words that the Deflater collapses. A P-frame is taken against the
+    * weights this instance stored last; only when it did not store
+    * `modelId - 1` is that base restored from the files.
     */
   def store(modelId: Int, weights: Array[Double]): Long = {
     val bits = weights.map(java.lang.Double.doubleToRawLongBits)
     val toStore: Array[Long] =
       if (isFullModel(modelId)) bits
       else {
-        val prev = load(modelId - 1)
-        require(prev.length == weights.length,
-          s"model $modelId: weight count changed (${prev.length} -> ${weights.length})")
-        Array.tabulate(bits.length)(i =>
-          bits(i) ^ java.lang.Double.doubleToRawLongBits(prev(i)))
+        val prev =
+          if (lastId == modelId - 1) lastBits
+          else load(modelId - 1).map(java.lang.Double.doubleToRawLongBits)
+        require(prev.length == bits.length,
+          s"model $modelId: weight count changed (${prev.length} -> ${bits.length})")
+        Array.tabulate(bits.length)(i => bits(i) ^ prev(i))
       }
     val bytes = compress(toStore)
     fs.write(path(modelId), bytes)
+    lastId = modelId
+    lastBits = bits
     bytes.length.toLong
   }
 

@@ -91,16 +91,29 @@ final class StorageService(registry: SampleRegistry, fs: FileSystemWrapper,
       batches.flatMap(_.labels).toArray)
   }
 
+  /** Throw the `NoSuchElementException` a retrieval of `keys` would throw
+    * if any of them is unknown or deleted.
+    */
+  def requireKeys(keys: Array[Long]): Unit = lookupAll(keys)
+
+  /** The key index rows of `keys`, sorted by (file, idx); throws if any
+    * key is unknown or deleted.
+    */
+  private def lookupAll(keys: Array[Long]): Array[SampleMeta] = {
+    val metas = registry.lookup(keys)
+    if (metas.length != keys.length) {
+      val missing = keys.toSet -- metas.map(_.key).toSet
+      throw new NoSuchElementException(
+        s"${missing.size} unknown sample keys, e.g. ${missing.take(3).mkString(", ")}")
+    }
+    metas
+  }
+
   /** One retrieval thread's work: key-index lookup, then file-by-file
     * extraction into send buffers.
     */
   private def retrievePart(part: Array[Long], emit: PayloadBatch => Unit): Unit = {
-    val metas = registry.lookup(part)
-    if (metas.length != part.length) {
-      val missing = part.toSet -- metas.map(_.key).toSet
-      throw new NoSuchElementException(
-        s"${missing.size} unknown sample keys, e.g. ${missing.take(3).mkString(", ")}")
-    }
+    val metas = lookupAll(part)
     val bufKeys     = new Array[Long](sendBufferSize)
     val bufPayloads = new Array[Array[Byte]](sendBufferSize)
     val bufLabels   = new Array[Long](sendBufferSize)

@@ -33,7 +33,10 @@ trait Model {
   /** Restore parameters from a flat vector (resets optimizer state). */
   def setWeights(w: Array[Double]): Unit
 
-  /** Class probabilities for one sample. */
+  /** Class probabilities for one sample. Must be safe to call from several
+    * threads at once: it only reads the weights (the evaluator scores an
+    * eval block in parallel).
+    */
   def scores(x: Array[Float]): Array[Double]
 
   /** argmax prediction. */
@@ -81,11 +84,34 @@ final class SoftmaxRegressionModel(val dim: Int, val numClasses: Int,
     w = nw.clone(); vel = new Array[Double](nParams)
   }
 
+  /** Per-class logits `b(c) + sum_f W(c, f) * x(f)`. Four classes run at
+    * once in four independent accumulators, so that four add chains
+    * overlap instead of one waiting on each add's latency. Each class still
+    * adds its bias first and then f = 0..dim-1 in order, and JVM double
+    * arithmetic is never fused, so every logit is bit-identical to a
+    * one-class-at-a-time loop.
+    */
   private def logits(x: Array[Float]): Array[Double] = {
-    val z = new Array[Double](numClasses)
+    val w    = this.w
+    val z    = new Array[Double](numClasses)
+    val bias = numClasses * dim
     var c = 0
+    while (c + 4 <= numClasses) {
+      val b0 = c * dim; val b1 = b0 + dim; val b2 = b1 + dim; val b3 = b2 + dim
+      var s0 = w(bias + c); var s1 = w(bias + c + 1)
+      var s2 = w(bias + c + 2); var s3 = w(bias + c + 3)
+      var f = 0
+      while (f < dim) {
+        val xf = x(f).toDouble
+        s0 += w(b0 + f) * xf; s1 += w(b1 + f) * xf
+        s2 += w(b2 + f) * xf; s3 += w(b3 + f) * xf
+        f += 1
+      }
+      z(c) = s0; z(c + 1) = s1; z(c + 2) = s2; z(c + 3) = s3
+      c += 4
+    }
     while (c < numClasses) {
-      var s = w(numClasses * dim + c)
+      var s = w(bias + c)
       val base = c * dim
       var f = 0
       while (f < dim) { s += w(base + f) * x(f); f += 1 }

@@ -1,10 +1,12 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.AtomicInteger
 import repro.SparkSpec
-import repro.TestUtil.withTmpDir
+import repro.TestUtil.{ForwardingFs, withTmpDir}
 import repro.datagen.{ClocLite, CriteoLite}
-import repro.storage.{LocalFileSystemWrapper, SampleRegistry, StorageService}
+import repro.storage.{FileSystemWrapper, LocalFileSystemWrapper, SampleRegistry, StorageService}
+import repro.trainer.IdentityTransform
 
 class SupervisorSpec extends SparkSpec {
   private val fs = new LocalFileSystemWrapper
@@ -157,6 +159,167 @@ class SupervisorSpec extends SparkSpec {
         val w = ms.load(i)
         assert(w.length == 6 * 16 + 6)
       }
+      registry.close()
+    }
+  }
+
+  private val allMetrics =
+    """evaluation:
+      |  metrics: [Accuracy, F1Macro, RocAuc]""".stripMargin
+
+  /** Counts `read`/`readAll` calls per path. */
+  private final class CountingFs extends ForwardingFs {
+    val reads = new ConcurrentHashMap[String, AtomicInteger]()
+    private def count(path: String): Unit =
+      reads.computeIfAbsent(path, _ => new AtomicInteger).incrementAndGet()
+    override def read(path: String, offset: Long, length: Int): Array[Byte] = {
+      count(path); super.read(path, offset, length)
+    }
+    override def readAll(path: String): Array[Byte] = { count(path); super.readAll(path) }
+    def readsOf(path: String): Int = Option(reads.get(path)).map(_.get).getOrElse(0)
+  }
+
+  private def supervisor(p: PipelineConfig, registry: SampleRegistry, storage: StorageService,
+                         workFs: FileSystemWrapper, workDir: String,
+                         evalBudgetBytes: Long): Supervisor =
+    new Supervisor(p, registry, storage, workFs, workDir, None, IdentityTransform, evalBudgetBytes)
+
+  test("each eval-set file is read once per run, not once per trigger") {
+    withTmpDir { dir =>
+      val registry = new SampleRegistry
+      val metas = ClocLite.generate(fs, registry, s"$dir/data", 25, 4, 16, years = 2004 to 2007)
+      val evalSets = Supervisor.yearlyEvalSets(metas)
+      // Training reads the same files, so count a run without eval sets
+      // and take the difference.
+      def readsPerFile(sets: Seq[EvalSet], run: String): Map[Long, Int] = {
+        val cfs = new CountingFs
+        val report = new Supervisor(clocPipeline("local"), registry, new StorageService(registry, cfs),
+          fs, s"$dir/$run").runExperiment(replayBatchSize = 25, evalSets = sets, trailingTrigger = true)
+        assert(report.triggers.size == 4)
+        metas.map(m => m.key -> cfs.readsOf(registry.fileMeta(m.fileId).path)).toMap
+      }
+      val withEval = readsPerFile(evalSets, "with")
+      val without  = readsPerFile(Seq.empty, "without")
+      metas.foreach { m =>
+        assert(withEval(m.key) - without(m.key) == 1, s"key ${m.key}")
+      }
+      registry.close()
+    }
+  }
+
+  test("streamed eval sets give the same results as the eval block (CLOC-lite)") {
+    withTmpDir { dir =>
+      val registry = new SampleRegistry
+      val metas = ClocLite.generate(fs, registry, s"$dir/data", 30, 6, 16, years = 2004 to 2007)
+      val storage  = new StorageService(registry, fs)
+      val evalSets = Supervisor.yearlyEvalSets(metas)
+      val twoSets  = 2 * 30 * Supervisor.evalRowBytes(16)
+      val reports = Seq(Long.MaxValue, twoSets, 1L).map { budget =>
+        supervisor(clocPipeline("local", allMetrics), registry, storage, fs, s"$dir/work$budget", budget)
+          .runExperiment(replayBatchSize = 50, evalSets = evalSets, trailingTrigger = true)
+      }
+      assert(reports.head.triggers.size == 4)
+      assert(reports.head.triggers.forall(_.evals.values.forall(_.map(_.metric) ==
+        Seq("Accuracy", "F1Macro", "RocAuc"))))
+      reports.tail.foreach { r =>
+        assert(r.accuracyMatrix == reports.head.accuracyMatrix)
+        assert(r.triggers.map(_.evals) == reports.head.triggers.map(_.evals))
+      }
+      registry.close()
+    }
+  }
+
+  test("streamed eval sets give the same results as the eval block (Criteo-lite)") {
+    withTmpDir { dir =>
+      val pipeline = PipelineConfig.fromYaml(
+        s"""pipeline: criteo_eval
+          |model:
+          |  id: LogisticRegression
+          |  config:
+          |    hash_dim: 32
+          |data:
+          |  dataset_id: criteo
+          |trigger:
+          |  id: DataAmountTrigger
+          |  trigger_config:
+          |    data_points_for_trigger: 200
+          |training:
+          |  batch_size: 64
+          |  partition_size: 100
+          |  selection_strategy:
+          |    name: NewDataStrategy
+          |    config:
+          |      storage_backend: "local"
+          |      reset_after_trigger: True
+          |$allMetrics
+          |""".stripMargin)
+      val registry = new SampleRegistry
+      CriteoLite.generate(fs, registry, s"$dir/data", 600, samplesPerFile = 70)
+      val storage  = new StorageService(registry, fs)
+      val evalSets = Seq(EvalSet("a", (1L to 150L).toArray), EvalSet("b", (151L to 600L).toArray))
+      val reports = Seq(Long.MaxValue, 1L).map { budget =>
+        supervisor(pipeline, registry, storage, fs, s"$dir/work$budget", budget)
+          .runExperiment(replayBatchSize = 120, evalSets = evalSets)
+      }
+      assert(reports.head.triggers.size == 3)
+      assert(reports.head.triggers.forall(_.evals.values.forall(_.map(_.metric) ==
+        Seq("Accuracy", "F1Macro", "RocAuc"))))
+      assert(reports(1).accuracyMatrix == reports.head.accuracyMatrix)
+      assert(reports(1).triggers.map(_.evals) == reports.head.triggers.map(_.evals))
+      registry.close()
+    }
+  }
+
+  test("a key deleted after the eval block is filled fails the next evaluation") {
+    Seq(Long.MaxValue, 1L).foreach { budget =>
+      withTmpDir { dir =>
+        val registry = new SampleRegistry
+        val metas = ClocLite.generate(fs, registry, s"$dir/data", 25, 4, 16, years = 2004 to 2007)
+        val evalSets = Supervisor.yearlyEvalSets(metas)
+        val victim = evalSets.head.keys(3)
+        // The second trigger's model is stored right before its evaluation.
+        val hookFs = new ForwardingFs {
+          override def write(path: String, bytes: Array[Byte]): Unit = {
+            super.write(path, bytes)
+            if (path.endsWith("model_000001.bin")) registry.deleteSamples(Seq(victim))
+          }
+        }
+        val sup = supervisor(clocPipeline("local"), registry, new StorageService(registry, fs),
+          hookFs, s"$dir/work", budget)
+        val e = intercept[NoSuchElementException] {
+          sup.runExperiment(replayBatchSize = 25, evalSets = evalSets, trailingTrigger = true)
+        }
+        assert(e.getMessage.contains(victim.toString), e.getMessage)
+        registry.close()
+      }
+    }
+  }
+
+  test("a trigger's evalMs covers the eval data it retrieves") {
+    withTmpDir { dir =>
+      val registry = new SampleRegistry
+      val metas = ClocLite.generate(fs, registry, s"$dir/data", 24, 4, 16, years = 2004 to 2006)
+      val evalSet = Supervisor.yearlyEvalSets(metas).head
+      val slowPaths = evalSet.keys.map(k => registry.fileMeta(registry.lookup(Array(k)).head.fileId).path).toSet
+      // Each read of an eval file takes at least 2 ms; 24 files over 4
+      // retrieval threads take at least 12 ms.
+      val slowFs = new ForwardingFs {
+        override def read(path: String, offset: Long, length: Int): Array[Byte] = {
+          if (slowPaths(path)) Thread.sleep(2); super.read(path, offset, length)
+        }
+        override def readAll(path: String): Array[Byte] = {
+          if (slowPaths(path)) Thread.sleep(2); super.readAll(path)
+        }
+      }
+      val storage = new StorageService(registry, slowFs)
+      def evalMs(budget: Long) =
+        supervisor(clocPipeline("local"), registry, storage, fs, s"$dir/work$budget", budget)
+          .runExperiment(replayBatchSize = 24, evalSets = Seq(evalSet), trailingTrigger = true)
+          .triggers.map(_.evalMs)
+      val cached = evalMs(Long.MaxValue)
+      assert(cached.size == 3 && cached.head >= 12, cached)
+      val streamed = evalMs(1L)
+      assert(streamed.size == 3 && streamed.forall(_ >= 12), streamed)
       registry.close()
     }
   }

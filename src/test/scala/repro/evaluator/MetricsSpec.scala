@@ -100,4 +100,25 @@ class MetricsSpec extends AnyFunSuite {
     intercept[IllegalArgumentException] { Evaluator.decomposableByName("Bleu") }
     intercept[IllegalArgumentException] { Evaluator.holisticByName("Accuracy") }
   }
+
+  test("evaluateBlock gives per set what evaluate gives on that set's rows") {
+    val m = new SoftmaxRegressionModel(8, 5, SgdConfig(0.1), seed = 3)
+    m.setWeights(m.weights.map(_ * 50))
+    // Set sizes straddle the 256-row ranges; one set is empty.
+    val sizes   = Seq(700, 0, 1, 255, 300)
+    val rows    = Array.tabulate(sizes.sum)(i =>
+      Array.tabulate(8)(f => repro.util.Rng.gaussian(repro.util.Rng.mix2(i, f)).toFloat))
+    val labels  = Array.tabulate(sizes.sum)(i => Math.floorMod(repro.util.Rng.mix2(i, 99L), 5L).toInt)
+    val offsets = sizes.scanLeft(0)(_ + _).toArray
+    val block   = new EvalBlock(rows, labels, offsets)
+    val got = Evaluator.evaluateBlock(m, block, Seq(new Accuracy, new F1Macro), Seq(new RocAuc))
+    assert(got.size == sizes.size)
+    sizes.indices.foreach { s =>
+      val range = offsets(s) until offsets(s + 1)
+      val want = Evaluator.evaluate(m, range.iterator.map(i => (rows(i), labels(i))),
+        Seq(new Accuracy, new F1Macro), Seq(new RocAuc))
+      assert(got(s) == want, s"set $s")
+    }
+    assert(got(0).head.value > 0.0 && got(0).head.numSamples == 700)
+  }
 }

@@ -1,7 +1,7 @@
 package repro.modelstorage
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestUtil.withTmpDir
+import repro.TestUtil.{ForwardingFs, withTmpDir}
 import repro.storage.LocalFileSystemWrapper
 import repro.util.Rng
 
@@ -102,6 +102,46 @@ class ModelStorageSpec extends AnyFunSuite {
       ms.store(1, w.map(_ * 2))
       assert(java.util.Arrays.equals(ms.load(0), w))
       assert(java.util.Arrays.equals(ms.load(1), w.map(_ * 2)))
+    }
+  }
+
+  test("storing a P-frame reads nothing and writes what a fresh instance writes") {
+    withTmpDir { dir =>
+      var reads   = 0
+      var written = Map.empty[String, Array[Byte]]
+      val cfs = new ForwardingFs {
+        override def read(path: String, offset: Long, length: Int): Array[Byte] = {
+          reads += 1; super.read(path, offset, length)
+        }
+        override def readAll(path: String): Array[Byte] = { reads += 1; super.readAll(path) }
+        override def write(path: String, bytes: Array[Byte]): Unit = {
+          written += path -> bytes; super.write(path, bytes)
+        }
+      }
+      val ms = new ModelStorage(cfs, dir, fullModelEverySteps = 4)
+      // Drifting weights, as successive triggers produce them.
+      val ws = (0 until 9).scanLeft(weights(300, 0)) { (w, k) =>
+        w.indices.map(i => if (i % 7 == k % 7) w(i) + 0.01 * k else w(i)).toArray
+      }
+      ws.indices.foreach { k =>
+        val file = f"$dir/model_$k%06d.bin"
+        reads = 0
+        ms.store(k, ws(k))
+        assert(reads == 0, s"model $k")
+        if (!ms.isFullModel(k)) {
+          val ours  = written(file)
+          val fresh = new ModelStorage(cfs, dir, fullModelEverySteps = 4)
+          assert(java.util.Arrays.equals(fresh.load(k - 1), ws(k - 1)))
+          fresh.store(k, ws(k))
+          assert(reads > 0, s"a fresh instance walks the chain for model $k")
+          assert(java.util.Arrays.equals(written(file), ours), s"model $k")
+        }
+      }
+      ws.indices.foreach { k =>
+        reads = 0
+        assert(java.util.Arrays.equals(new ModelStorage(cfs, dir, 4).load(k), ws(k)), s"model $k")
+        assert(reads == k % 4 + 1, s"model $k")
+      }
     }
   }
 }

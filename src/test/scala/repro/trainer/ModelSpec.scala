@@ -198,4 +198,91 @@ class ModelSpec extends AnyFunSuite {
       ModelFactory.model("SoftmaxRegression", Map.empty, SgdConfig(0.1), 0)
     }
   }
+
+  /** The softmax model's arithmetic with one accumulator per logit, one
+    * class at a time: what the model's four-class kernel must equal bit for
+    * bit.
+    */
+  private final class ReferenceSoftmax(dim: Int, numClasses: Int, cfg: SgdConfig, w0: Array[Double]) {
+    val w   = w0.clone()
+    val vel = new Array[Double](w.length)
+
+    def logits(x: Array[Float]): Array[Double] = Array.tabulate(numClasses) { c =>
+      var s = w(numClasses * dim + c)
+      var f = 0
+      while (f < dim) { s += w(c * dim + f) * x(f); f += 1 }
+      s
+    }
+
+    def scores(x: Array[Float]): Array[Double] = {
+      val z = logits(x)
+      val max = z.max
+      val e = z.map(v => math.exp(v - max))
+      var sum = 0.0
+      e.foreach(sum += _)
+      e.map(_ / sum)
+    }
+
+    def lossOf(x: Array[Float], y: Int): Double = -math.log(math.max(scores(x)(y), 1e-12))
+
+    def gradNorm(x: Array[Float], y: Int, ceOptimized: Boolean): Double = {
+      val p = scores(x); p(y) -= 1.0
+      var g = 0.0
+      p.foreach(v => g += v * v)
+      var xn = 0.0
+      x.foreach(v => xn += v.toDouble * v)
+      if (ceOptimized) math.sqrt(g) else math.sqrt(g) * math.sqrt(xn)
+    }
+
+    def trainBatch(xs: Array[Array[Float]], ys: Array[Int], sw: Array[Double]): Double = {
+      val grad = new Array[Double](w.length)
+      val invB = 1.0 / xs.length
+      var lossSum = 0.0
+      xs.indices.foreach { i =>
+        val p = scores(xs(i))
+        lossSum += sw(i) * -math.log(math.max(p(ys(i)), 1e-12))
+        p(ys(i)) -= 1.0
+        (0 until numClasses).foreach { c =>
+          val g = sw(i) * invB * p(c)
+          if (g != 0.0) {
+            (0 until dim).foreach(f => grad(c * dim + f) += g * xs(i)(f))
+            grad(numClasses * dim + c) += g
+          }
+        }
+      }
+      w.indices.foreach { j =>
+        vel(j) = cfg.momentum * vel(j) + (grad(j) + cfg.weightDecay * w(j))
+        w(j) -= cfg.lr * vel(j)
+      }
+      lossSum * invB
+    }
+  }
+
+  test("softmax kernel is bit-identical to a one-accumulator loop") {
+    val cfg = SgdConfig(lr = 0.05, momentum = 0.9, weightDecay = 1e-4)
+    for (numClasses <- Seq(2, 3, 4, 5, 7, 48); dim <- Seq(1, 3, 16, 64)) {
+      val seed = numClasses * 100L + dim
+      val w0 = Array.tabulate(numClasses * dim + numClasses)(i => Rng.gaussian(Rng.mix2(seed, i)) * 0.5)
+      val m = new SoftmaxRegressionModel(dim, numClasses, cfg)
+      m.setWeights(w0)
+      val ref = new ReferenceSoftmax(dim, numClasses, cfg, w0)
+      val xs  = Array.tabulate(20)(i => randX(dim, seed * 31 + i))
+      val ys  = Array.tabulate(20)(i => Math.floorMod(Rng.mix2(seed, 1000L + i), numClasses.toLong).toInt)
+      val sw  = Array.tabulate(20)(i => 0.5 + (i % 3))
+      val at  = s"C=$numClasses d=$dim"
+      xs.indices.foreach { i =>
+        assert(java.util.Arrays.equals(m.scores(xs(i)), ref.scores(xs(i))), at)
+        assert(m.lossOf(xs(i), ys(i)) == ref.lossOf(xs(i), ys(i)), at)
+        assert(m.lastLayerGradNorm(xs(i), ys(i), ceOptimized = true) == ref.gradNorm(xs(i), ys(i), true), at)
+        assert(m.lastLayerGradNorm(xs(i), ys(i), ceOptimized = false) == ref.gradNorm(xs(i), ys(i), false), at)
+      }
+      (0 until 3).foreach { step =>
+        val batch = (step * 5 until step * 5 + 8)
+        val loss  = m.trainBatch(batch.map(xs).toArray, batch.map(ys).toArray, batch.map(sw).toArray)
+        assert(loss == ref.trainBatch(batch.map(xs).toArray, batch.map(ys).toArray, batch.map(sw).toArray), at)
+        assert(java.util.Arrays.equals(m.weights, ref.w), s"$at step $step")
+      }
+      assert(java.util.Arrays.equals(m.scores(xs(0)), ref.scores(xs(0))), at)
+    }
+  }
 }
