@@ -130,7 +130,10 @@ final class Supervisor private[core] (pipeline: PipelineConfig, registry: Sample
       if (tts.totalSamples == 0) return // nothing selected; skip the run
 
       if (pipeline.usePreviousModel) {
-        if (trained > 0) model.setWeights(modelStore.load(trained - 1))
+        // Model storage keeps raw IEEE bits, so the weights in memory are
+        // exactly what loading model `trained - 1` back would return;
+        // setting them again only resets the optimizer state.
+        if (trained > 0) model.setWeights(model.weights)
         // else: very first training starts from the random initialization.
       } else {
         // Train from scratch: re-initialize with a per-trigger seed.

@@ -2,6 +2,7 @@ package repro.storage
 
 import java.nio.{ByteBuffer, ByteOrder}
 import java.nio.charset.StandardCharsets
+import scala.collection.immutable.ArraySeq
 
 /** A single extracted sample: raw payload bytes plus its integer label. */
 final case class ExtractedSample(payload: Array[Byte], label: Long)
@@ -29,7 +30,10 @@ trait FileWrapper {
   /** Label of the sample at `index`. */
   def getLabel(index: Int): Long
 
-  /** All (payload, label) pairs — used once at ingestion time. */
+  /** Every sample's label in in-file order — what ingestion reads. */
+  def labels(): IndexedSeq[Long] = (0 until numSamples).map(getLabel)
+
+  /** All (payload, label) pairs. */
   def extractAll(): IndexedSeq[ExtractedSample] =
     (0 until numSamples).map(i => ExtractedSample(getSample(i), getLabel(i)))
 }
@@ -83,8 +87,16 @@ final class BinaryFileWrapper(fs: FileSystemWrapper, path: String, val recordSiz
     ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN).getInt.toLong
   }
 
-  /** Ingestion-time bulk extraction reads the file once and slices records,
-    * instead of issuing `2 * numSamples` positioned reads.
+  /** Reads the file once and takes each record's label, instead of
+    * issuing `numSamples` positioned reads.
+    */
+  override def labels(): IndexedSeq[Long] = {
+    val bb = ByteBuffer.wrap(fs.readAll(path)).order(ByteOrder.LITTLE_ENDIAN)
+    ArraySeq.unsafeWrapArray(Array.tabulate(numSamples)(i => bb.getInt(i * recordSize).toLong))
+  }
+
+  /** Bulk extraction reads the file once and slices records, instead of
+    * issuing `2 * numSamples` positioned reads.
     */
   override def extractAll(): IndexedSeq[ExtractedSample] = {
     val all = fs.readAll(path)
@@ -139,6 +151,14 @@ final class SingleSampleFileWrapper(fs: FileSystemWrapper, path: String)
   override def getLabel(index: Int): Long = {
     require(index == 0, s"single-sample file has only index 0, got $index")
     new String(fs.readAll(path + ".label"), StandardCharsets.UTF_8).trim.toLong
+  }
+
+  /** The label, once the payload is known to exist; the payload itself is
+    * not read.
+    */
+  override def labels(): IndexedSeq[Long] = {
+    if (!fs.exists(path)) throw new java.nio.file.NoSuchFileException(path)
+    IndexedSeq(getLabel(0))
   }
 }
 

@@ -17,19 +17,16 @@ final case class FileMeta(fileId: Int, path: String, wrapperType: FileWrapperTyp
 
 /** The storage component's metadata (§4.1.4).
   *
-  * The paper keeps track of files, samples, and labels in Postgres; this
-  * reproduction uses DuckDB (the only SQL engine available offline) as the
-  * embedded stand-in. Like the paper's storage, ingestion extracts every
-  * sample of a file through its [[FileWrapper]] and bulk-inserts the
-  * metadata into the `files` and `samples` tables.
-  *
-  * Retrieval and replay never query those tables. They read an append-only
-  * in-memory key index instead: primitive arrays whose row `key - 1` holds
-  * the sample's (fileId, idx, label, ts). Ingest gives each file its id and
-  * a contiguous block of keys in one step under the registry's lock, so
-  * ascending key order is (file, idx) order even when files are ingested
-  * concurrently, and resolving keys to (file, offset) (§4.2.3) is a sort of
-  * the requested keys plus array reads.
+  * The paper keeps track of files, samples, and labels in Postgres. Here
+  * the metadata store is an append-only in-memory key index: primitive
+  * arrays whose row `key - 1` holds the sample's (fileId, idx, label, ts),
+  * plus a concurrent map of the registered files. Like the paper's storage,
+  * ingestion reads every sample's label through the file's [[FileWrapper]];
+  * it then gives the file its id and a contiguous block of keys in one
+  * step under the registry's lock, so ascending key order is (file, idx)
+  * order even when files are ingested concurrently, and resolving keys to
+  * (file, offset) (§4.2.3) is a sort of the requested keys plus array
+  * reads.
   *
   * Writers (ingest, delete) hold the lock. They write rows first and then
   * publish them through the volatile `index` reference; readers take one
@@ -38,30 +35,25 @@ final case class FileMeta(fileId: Int, path: String, wrapperType: FileWrapperTyp
 final class SampleRegistry extends AutoCloseable {
   import SampleRegistry.KeyIndex
 
-  Class.forName("org.duckdb.DuckDBDriver")
-
-  private val rootConn: DuckDBConnection =
-    DriverManager.getConnection("jdbc:duckdb:").asInstanceOf[DuckDBConnection]
-
-  locally {
-    val st = rootConn.createStatement()
-    st.execute("CREATE TABLE files (file_id INTEGER PRIMARY KEY, path VARCHAR)")
-    st.execute(
-      "CREATE TABLE samples (key BIGINT PRIMARY KEY, file_id INTEGER, idx INTEGER, label BIGINT, ts BIGINT)")
-    st.close()
-  }
-
-  // Guards every write: file ids, key blocks, the index rows and rootConn.
+  // Guards every write: file ids, key blocks, the index rows and sqlConn.
   private val lock       = new Object
   private var nextFileId = 0
   @volatile private var index = KeyIndex.empty
   // Written by ingest, read lock-free by retrieval threads.
   private val filesById  = new ConcurrentHashMap[Int, FileMeta]()
+  private var sqlConn: DuckDBConnection = null
 
-  /** Fresh connection sharing the same in-process metadata database, for
-    * SQL over the `files` and `samples` tables.
+  /** A connection to an empty in-memory DuckDB database, opened on the
+    * first call; it holds no registry tables.
     */
-  def duplicateConnection(): Connection = rootConn.duplicate()
+  @deprecated("the registry keeps no SQL tables; use lookup(keys)")
+  def duplicateConnection(): Connection = lock.synchronized {
+    if (sqlConn == null) {
+      Class.forName("org.duckdb.DuckDBDriver")
+      sqlConn = DriverManager.getConnection("jdbc:duckdb:").asInstanceOf[DuckDBConnection]
+    }
+    sqlConn.duplicate()
+  }
 
   /** Number of ingested samples, deleted ones included. */
   def numSamples: Long = index.size.toLong
@@ -75,18 +67,15 @@ final class SampleRegistry extends AutoCloseable {
     fm
   }
 
-  /** Ingest one file: extract all samples via the wrapper, assign keys, and
-    * insert file + sample metadata. `timestampOf` maps the in-file index to
-    * the sample's event time (experiment-mode replay orders by it).
+  /** Ingest one file: read every sample's label via the wrapper and
+    * register the file. `timestampOf` maps the in-file index to the
+    * sample's event time (experiment-mode replay orders by it).
     * Returns the assigned metadata in in-file order.
     */
   def ingestFile(fs: FileSystemWrapper, path: String, wrapperType: FileWrapperType,
-                 timestampOf: Int => Long = _ => 0L): IndexedSeq[SampleMeta] = {
-    val wrapper   = FileWrapperType.instantiate(wrapperType, fs, path)
-    val extracted = wrapper.extractAll()
-    val labels    = extracted.map(_.label)
-    ingestPrecomputed(path, wrapperType, labels, timestampOf)
-  }
+                 timestampOf: Int => Long = _ => 0L): IndexedSeq[SampleMeta] =
+    ingestPrecomputed(path, wrapperType, FileWrapperType.instantiate(wrapperType, fs, path).labels(),
+      timestampOf)
 
   /** Fast-path ingestion when the caller (e.g. a data generator) already
     * knows each sample's label, avoiding a re-read of the file.
@@ -94,31 +83,18 @@ final class SampleRegistry extends AutoCloseable {
   def ingestPrecomputed(path: String, wrapperType: FileWrapperType,
                         labels: IndexedSeq[Long],
                         timestampOf: Int => Long = _ => 0L): IndexedSeq[SampleMeta] = {
-    lock.synchronized {
+    val n     = labels.length
+    val label = labels.toArray
+    val ts    = Array.tabulate(n)(timestampOf)
+    val (fileId, firstKey) = lock.synchronized {
       val fileId = nextFileId
       nextFileId += 1
       filesById.put(fileId, FileMeta(fileId, path, wrapperType))
-
-      val fs = rootConn.prepareStatement("INSERT INTO files VALUES (?, ?)")
-      fs.setInt(1, fileId); fs.setString(2, path); fs.executeUpdate(); fs.close()
-
       val firstKey = index.size + 1L
-      val metas = ArraySeq.tabulate(labels.length) { i =>
-        SampleMeta(firstKey + i, fileId, i, labels(i), timestampOf(i))
-      }
-      // The Appender is DuckDB's bulk-ingest path — the stand-in for the
-      // paper's Postgres COPY over the raw connection (§4.1.4).
-      val app = rootConn.createAppender(DuckDBConnection.DEFAULT_SCHEMA, "samples")
-      metas.foreach { m =>
-        app.beginRow()
-        app.append(m.key); app.append(m.fileId); app.append(m.indexInFile)
-        app.append(m.label); app.append(m.timestampSec)
-        app.endRow()
-      }
-      app.close()
-      index = index.append(metas)
-      metas
+      index = index.append(fileId, label, ts)
+      (fileId, firstKey)
     }
+    ArraySeq.tabulate(n)(i => SampleMeta(firstKey + i, fileId, i, label(i), ts(i)))
   }
 
   /** Delete samples by key (GDPR-style removal, §2.1). Deleted samples
@@ -134,10 +110,6 @@ final class SampleRegistry extends AutoCloseable {
         n += 1
       }
     }
-    val ps = rootConn.prepareStatement("DELETE FROM samples WHERE key = ?")
-    keys.foreach { k => ps.setLong(1, k); ps.addBatch() }
-    ps.executeBatch()
-    ps.close()
     index = ix // republish, so that every later reader sees the marks
     n
   }
@@ -170,6 +142,7 @@ final class SampleRegistry extends AutoCloseable {
     * against the former SQL join pass a connection, and through this
     * overload they time the same lookup that retrieval uses.
     */
+  @deprecated("the registry keeps no SQL tables; use lookup(keys)")
   def lookup(conn: Connection, keys: Array[Long]): Array[SampleMeta] = lookup(keys)
 
   /** All live sample metadata ordered by (timestamp, key) — the replay
@@ -190,7 +163,9 @@ final class SampleRegistry extends AutoCloseable {
     ArraySeq.unsafeWrapArray(metas)
   }
 
-  override def close(): Unit = rootConn.close()
+  override def close(): Unit = lock.synchronized {
+    if (sqlConn != null) { sqlConn.close(); sqlConn = null }
+  }
 }
 
 object SampleRegistry {
@@ -201,13 +176,14 @@ object SampleRegistry {
     */
   private final class KeyIndex(val fileId: Array[Int], val idx: Array[Int],
                                val label: Array[Long], val ts: Array[Long], val size: Int) {
-    /** This index with `metas` (keys `size + 1` to `size + metas.length`)
-      * as its last rows. It writes them past `size`, into these arrays
-      * while they fit, else into copies twice as long, so no reader sees a
-      * row change. Call under the registry's lock and publish the result.
+    /** This index with file `file`'s samples (keys `size + 1` to
+      * `size + labels.length`, in-file order) as its last rows. It writes
+      * them past `size`, into these arrays while they fit, else into copies
+      * twice as long, so no reader sees a row change. Call under the
+      * registry's lock and publish the result.
       */
-    def append(metas: IndexedSeq[SampleMeta]): KeyIndex = {
-      val rows = size + metas.length
+    def append(file: Int, labels: Array[Long], stamps: Array[Long]): KeyIndex = {
+      val rows = size + labels.length
       val ix =
         if (rows <= fileId.length) this
         else {
@@ -215,10 +191,11 @@ object SampleRegistry {
           new KeyIndex(java.util.Arrays.copyOf(fileId, cap), java.util.Arrays.copyOf(idx, cap),
             java.util.Arrays.copyOf(label, cap), java.util.Arrays.copyOf(ts, cap), size)
         }
-      metas.foreach { m =>
-        val r = (m.key - 1).toInt
-        ix.fileId(r) = m.fileId; ix.idx(r) = m.indexInFile; ix.label(r) = m.label; ix.ts(r) = m.timestampSec
-      }
+      java.util.Arrays.fill(ix.fileId, size, rows, file)
+      var i = 0
+      while (i < labels.length) { ix.idx(size + i) = i; i += 1 }
+      System.arraycopy(labels, 0, ix.label, size, labels.length)
+      System.arraycopy(stamps, 0, ix.ts, size, stamps.length)
       new KeyIndex(ix.fileId, ix.idx, ix.label, ix.ts, rows)
     }
 

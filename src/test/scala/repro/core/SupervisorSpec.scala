@@ -184,6 +184,24 @@ class SupervisorSpec extends SparkSpec {
                          evalBudgetBytes: Long): Supervisor =
     new Supervisor(p, registry, storage, workFs, workDir, None, IdentityTransform, evalBudgetBytes)
 
+  test("a warm-start run reads no stored model back") {
+    withTmpDir { dir =>
+      val registry = new SampleRegistry
+      ClocLite.generate(fs, registry, s"$dir/data", 25, 4, 16, years = 2004 to 2007)
+      val workFs = new CountingFs
+      // Models 1, 2 and 3 are P-frames: loading one back reads the chain.
+      val p      = clocPipeline("local").copy(fullModelInterval = 3)
+      assert(p.usePreviousModel)
+      val report = new Supervisor(p, registry, new StorageService(registry, fs), workFs, s"$dir/work")
+        .runExperiment(replayBatchSize = 25, trailingTrigger = true)
+      assert(report.triggers.size == 4)
+      val modelFiles = (0 until 4).map(i => f"$dir/work/models/model_$i%06d.bin")
+      assert(modelFiles.forall(fs.exists))
+      assert(modelFiles.map(workFs.readsOf) == Seq(0, 0, 0, 0))
+      registry.close()
+    }
+  }
+
   test("each eval-set file is read once per run, not once per trigger") {
     withTmpDir { dir =>
       val registry = new SampleRegistry

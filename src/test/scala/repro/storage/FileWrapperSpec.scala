@@ -177,6 +177,20 @@ class FileWrapperSpec extends AnyFunSuite {
     }
   }
 
+  test("labels gives every wrapper's per-index labels") {
+    withTmpDir { dir =>
+      writeBinary(s"$dir/a.bin", 6, 16)
+      fs.write(s"$dir/a.csv", "1,x\n0,y\n\n5,z\n".getBytes)
+      fs.write(s"$dir/img.bin", Array[Byte](7))
+      fs.write(s"$dir/img.bin.label", " 9 ".getBytes)
+      Seq(new BinaryFileWrapper(fs, s"$dir/a.bin", 16), new CsvFileWrapper(fs, s"$dir/a.csv", 0),
+          new SingleSampleFileWrapper(fs, s"$dir/img.bin")).foreach { w =>
+        assert(w.labels() == (0 until w.numSamples).map(w.getLabel))
+      }
+      assert(new CsvFileWrapper(fs, s"$dir/a.csv", 0).labels() == Seq(1L, 0L, 5L))
+    }
+  }
+
   // ---------------- FileWrapperType ----------------
 
   test("factory instantiates the right wrapper") {

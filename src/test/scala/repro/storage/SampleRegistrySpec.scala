@@ -3,7 +3,7 @@ package repro.storage
 import java.nio.{ByteBuffer, ByteOrder}
 import org.duckdb.DuckDBConnection
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestUtil.withTmpDir
+import repro.TestUtil.{ForwardingFs, withTmpDir}
 
 class SampleRegistrySpec extends AnyFunSuite {
   private val fs = new LocalFileSystemWrapper
@@ -36,6 +36,51 @@ class SampleRegistrySpec extends AnyFunSuite {
       val metas = r.ingestFile(fs, s"$dir/a.bin", FileWrapperType.Binary(16))
       assert(metas.map(_.label) == Seq(7L, 8L, 9L))
       assert(metas.map(_.indexInFile) == Seq(0, 1, 2))
+      r.close()
+    }
+  }
+
+  test("a Binary ingest reads each file with one readAll and no ranged read") {
+    withTmpDir { dir =>
+      val readAlls = new java.util.concurrent.ConcurrentHashMap[String, Integer]()
+      var ranged   = 0
+      val countingFs = new ForwardingFs {
+        override def read(path: String, offset: Long, length: Int): Array[Byte] = {
+          ranged += 1; super.read(path, offset, length)
+        }
+        override def readAll(path: String): Array[Byte] = {
+          readAlls.merge(path, 1, (a, b) => a + b); super.readAll(path)
+        }
+      }
+      val r     = new SampleRegistry
+      val paths = (0 until 3).map(f => s"$dir/f$f.bin")
+      paths.zipWithIndex.foreach { case (p, f) => binFile(p, (0 until 40 + f).map(_ * 3 + f), recordSize = 24) }
+      val metas = paths.map(p => r.ingestFile(countingFs, p, FileWrapperType.Binary(24)))
+      assert(ranged == 0)
+      assert(paths.map(p => readAlls.getOrDefault(p, 0).intValue) == Seq(1, 1, 1))
+      paths.indices.foreach { f =>
+        assert(metas(f).map(_.label) == (0 until 40 + f).map(i => (i * 3 + f).toLong))
+      }
+      r.close()
+    }
+  }
+
+  test("ingest fails on malformed files and registers nothing") {
+    withTmpDir { dir =>
+      val r = new SampleRegistry
+      // A binary file whose size is not a multiple of the record size.
+      fs.write(s"$dir/odd.bin", new Array[Byte](16 * 3 + 5))
+      intercept[IllegalArgumentException] { r.ingestFile(fs, s"$dir/odd.bin", FileWrapperType.Binary(16)) }
+      // A single-sample file whose payload is missing.
+      fs.write(s"$dir/gone.jpg.label", "3".getBytes)
+      intercept[java.nio.file.NoSuchFileException] {
+        r.ingestFile(fs, s"$dir/gone.jpg", FileWrapperType.SingleSample)
+      }
+      // A label sidecar that does not parse.
+      fs.write(s"$dir/bad.jpg", Array[Byte](1, 2))
+      fs.write(s"$dir/bad.jpg.label", "three".getBytes)
+      intercept[NumberFormatException] { r.ingestFile(fs, s"$dir/bad.jpg", FileWrapperType.SingleSample) }
+      assert(r.numSamples == 0 && r.files.isEmpty)
       r.close()
     }
   }
@@ -188,14 +233,13 @@ class SampleRegistrySpec extends AnyFunSuite {
   }
 
   /** The temp-table join that resolved keys before the key index, run on
-    * the registry's `samples` table: the reference for `lookup`.
+    * the `samples` table of `conn`: the reference for `lookup`.
     */
-  private def sqlLookup(r: SampleRegistry, keys: Array[Long]): Seq[SampleMeta] = {
-    val conn = r.duplicateConnection()
-    val st   = conn.createStatement()
+  private def sqlLookup(conn: DuckDBConnection, keys: Array[Long]): Seq[SampleMeta] = {
+    val st = conn.createStatement()
     try {
       st.execute("CREATE TABLE req (key BIGINT)")
-      val app = conn.asInstanceOf[DuckDBConnection].createAppender(DuckDBConnection.DEFAULT_SCHEMA, "req")
+      val app = conn.createAppender(DuckDBConnection.DEFAULT_SCHEMA, "req")
       keys.foreach { k => app.beginRow(); app.append(k); app.endRow() }
       app.close()
       rows(st.executeQuery(
@@ -203,7 +247,7 @@ class SampleRegistrySpec extends AnyFunSuite {
           |FROM req r JOIN samples s ON r.key = s.key
           |ORDER BY s.file_id, s.idx""".stripMargin))
     } finally {
-      st.execute("DROP TABLE req"); st.close(); conn.close()
+      st.execute("DROP TABLE req"); st.close()
     }
   }
 
@@ -219,6 +263,7 @@ class SampleRegistrySpec extends AnyFunSuite {
     val r = new SampleRegistry
     // 4 threads ingest 40 files each at once: sizes 1..50, labels and
     // timestamps random, timestamps with many ties.
+    val inputs = new java.util.concurrent.ConcurrentHashMap[String, (IndexedSeq[Long], IndexedSeq[Long])]()
     val ingesters = (0 until 4).map { t =>
       val th = new Thread(() => {
         val rnd = new scala.util.Random(100 + t)
@@ -226,6 +271,7 @@ class SampleRegistrySpec extends AnyFunSuite {
           val n = 1 + rnd.nextInt(50)
           val labels = IndexedSeq.fill(n)(rnd.nextInt(10).toLong)
           val ts     = IndexedSeq.fill(n)(rnd.nextInt(20).toLong)
+          inputs.put(s"t${t}_f$f", (labels, ts))
           r.ingestPrecomputed(s"t${t}_f$f", FileWrapperType.SingleSample, labels, ts)
         }
       })
@@ -233,11 +279,35 @@ class SampleRegistrySpec extends AnyFunSuite {
     }
     ingesters.foreach(_.join())
     assert(r.files.size == 160)
+
+    // The reference `samples` table, built from the ingested inputs alone:
+    // keys run consecutively through the files in file-id order.
+    Class.forName("org.duckdb.DuckDBDriver")
+    val conn = java.sql.DriverManager.getConnection("jdbc:duckdb:").asInstanceOf[DuckDBConnection]
+    val st   = conn.createStatement()
+    st.execute("CREATE TABLE samples (key BIGINT PRIMARY KEY, file_id INTEGER, idx INTEGER, label BIGINT, ts BIGINT)")
+    val app = conn.createAppender(DuckDBConnection.DEFAULT_SCHEMA, "samples")
+    var key = 0L
+    r.files.foreach { f =>
+      val (labels, ts) = inputs.get(f.path)
+      labels.indices.foreach { i =>
+        key += 1
+        app.beginRow()
+        app.append(key); app.append(f.fileId); app.append(i); app.append(labels(i)); app.append(ts(i))
+        app.endRow()
+      }
+    }
+    app.close()
+
     val numKeys = r.numSamples
+    assert(numKeys == key)
     val rnd     = new scala.util.Random(7)
     val deleted = Seq.fill(200)(1L + rnd.nextInt(numKeys.toInt)).distinct
     assert(r.deleteSamples(deleted) == deleted.size)
     assert(r.deleteSamples(deleted.take(5) :+ (numKeys + 1)) == 0)
+    val del = conn.prepareStatement("DELETE FROM samples WHERE key = ?")
+    deleted.foreach { k => del.setLong(1, k); del.addBatch() }
+    del.executeBatch(); del.close()
 
     (1 to 20).foreach { seed =>
       val rnd     = new scala.util.Random(seed)
@@ -246,11 +316,9 @@ class SampleRegistrySpec extends AnyFunSuite {
       val gone    = rnd.shuffle(deleted).take(rnd.nextInt(30))
       val unknown = Seq(0L, -3L, numKeys + 1, numKeys + 1 + rnd.nextInt(1000), Long.MaxValue)
       val keys    = rnd.shuffle((known ++ dups ++ gone ++ unknown).toSeq).toArray
-      assert(r.lookup(keys).toSeq == sqlLookup(r, keys), s"seed $seed")
+      assert(r.lookup(keys).toSeq == sqlLookup(conn, keys), s"seed $seed")
     }
 
-    val conn = r.duplicateConnection()
-    val st   = conn.createStatement()
     val byTime = rows(st.executeQuery("SELECT key, file_id, idx, label, ts FROM samples ORDER BY ts, key"))
     st.close(); conn.close()
     assert(byTime.size == numKeys - deleted.size)
