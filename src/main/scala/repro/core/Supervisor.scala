@@ -82,8 +82,7 @@ final class Supervisor private[core] (pipeline: PipelineConfig, registry: Sample
         fs, s"$workDir/selector", spark),
       tss = tss,
       partitionSize = pipeline.partitionSize,
-      seed = pipeline.seed,
-      spark = spark)
+      seed = pipeline.seed)
     val strategy = StrategyFactory.strategy(
       pipeline.selectionName, pipeline.selectionConfig, pipeline.downsampling, ctx)
     val triggerPolicy = Trigger.byName(pipeline.triggerId, pipeline.triggerConfig)

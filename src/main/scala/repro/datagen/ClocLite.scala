@@ -1,7 +1,6 @@
 package repro.datagen
 
 import java.nio.{ByteBuffer, ByteOrder}
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.storage.{FileSystemWrapper, FileWrapperType, SampleMeta, SampleRegistry}
 import repro.util.Rng
 
@@ -127,18 +126,5 @@ object ClocLite {
       }
     }
     out.result()
-  }
-
-  /** The dataset as a Spark DataFrame (key surrogate, year, label) — used by
-    * Spark-side policy tests that only need metadata.
-    */
-  def metadataFrame(spark: SparkSession, samplesPerYear: Int, numClasses: Int,
-                    seed: Long = 7, years: Range = Years): DataFrame = {
-    import spark.implicits._
-    val rows = for {
-      year <- years
-      i    <- 0 until samplesPerYear
-    } yield (year.toLong * 1000000 + i, year, drawClass(numClasses, year, i, seed).toLong)
-    rows.toDF("key", "year", "label")
   }
 }

@@ -1,7 +1,6 @@
 package repro.datagen
 
 import java.nio.{ByteBuffer, ByteOrder}
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.storage.{FileSystemWrapper, FileWrapperType, SampleMeta, SampleRegistry}
 import repro.util.Rng
 
@@ -102,20 +101,5 @@ object CriteoLite {
       fileIdx += 1
     }
     out.result()
-  }
-
-  /** The dataset as a Spark DataFrame of parsed features (for Spark-side
-    * analyses/tests): key, label, n0..n12, c0..c25.
-    */
-  def asDataFrame(spark: SparkSession, numSamples: Int, seed: Long = 42): DataFrame = {
-    import spark.implicits._
-    val rows = (1 to numSamples).map { k =>
-      val bb = ByteBuffer.wrap(record(k.toLong, seed)).order(ByteOrder.LITTLE_ENDIAN)
-      val label = bb.getInt(0)
-      val nums  = (0 until NumNumeric).map(i => bb.getFloat(4 + i * 4).toDouble)
-      val cats  = (0 until NumCategorical).map(i => bb.getInt(4 + NumNumeric * 4 + i * 4))
-      (k.toLong, label, nums, cats)
-    }
-    rows.toDF("key", "label", "numerics", "categoricals")
   }
 }

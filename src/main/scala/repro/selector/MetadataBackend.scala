@@ -16,8 +16,8 @@ final case class SeenSample(key: Long, label: Long, timestampSec: Long, seenInTr
   * The paper ships a Postgres backend (flexible, SQL-queryable, slow to
   * insert) and a C++ local binary backend (fast, append-only). This
   * reproduction adds a Spark/Parquet backend: each informed batch appends
-  * to a growing Parquet dataset, and selection policies run as Spark SQL
-  * stages over it — the distributed-dataflow rendering of the selector.
+  * to a growing Parquet dataset. Every policy reads any backend through
+  * [[scanAll]], so each policy has one implementation.
   */
 trait MetadataBackend extends AutoCloseable {
   /** Record a batch of newly seen samples. */
@@ -153,11 +153,10 @@ final class LocalBinaryBackend(fs: FileSystemWrapper, dir: String,
   override def reset(): Unit = synchronized { fs.list(dir).foreach(fs.delete) }
 }
 
-/** Spark/Parquet backend: the growing-Parquet-dataset rendering of the
-  * selector metadata (this reproduction's primary backend per the
-  * distributed-dataflow framing). Every informed batch appends one Parquet
-  * write; [[df]] exposes the accumulated dataset so selection policies can
-  * run as Spark SQL / DataFrame pipeline stages over it.
+/** Spark/Parquet backend: the selector metadata as a growing Parquet
+  * dataset. Every informed batch appends one Parquet write, and scans read
+  * the accumulated dataset back through Spark; [[df]] exposes it as a
+  * DataFrame.
   */
 final class SparkParquetBackend(spark: SparkSession, dir: String) extends MetadataBackend {
   import spark.implicits._

@@ -2,6 +2,7 @@ package repro.selector
 
 import org.apache.spark.sql.SparkSession
 import repro.util.Rng
+import scala.annotation.nowarn
 
 /** A newly arrived sample, before the selector tags it with the trigger it
   * belongs to.
@@ -18,12 +19,15 @@ final case class DownsamplingConfig(name: String, ratio: Double, sampleThenBatch
 
 /** Everything a selection strategy needs from its environment: the metadata
   * backend for state, the TSS for persisting the selected keys/weights, the
-  * TSS partition size and writer-thread count, a base seed, and (for the
-  * Spark-stage policy implementations) the session.
+  * TSS partition size and a base seed. `spark` is read by nothing (the
+  * `nowarn` keeps the case class's own generated members from warning).
   */
+@nowarn("cat=deprecation")
 final case class SelectorContext(backend: MetadataBackend, tss: TriggerSampleStorage,
-                                 partitionSize: Int, writerThreads: Int = 4,
-                                 seed: Long = 0L, spark: Option[SparkSession] = None) {
+                                 partitionSize: Int, seed: Long = 0L,
+                                 @deprecated("read by nothing; removed together with " +
+                                   "perfbench's PipelineDriver (ROADMAP item 9)", "0.1")
+                                 spark: Option[SparkSession] = None) {
   require(partitionSize > 0, "partitionSize must be positive")
 }
 
@@ -93,13 +97,13 @@ abstract class AbstractSelectionStrategy(protected val ctx: SelectorContext,
   protected def resetState(): Unit = ctx.backend.reset()
 
   /** Cut `selected` into fixed-size partitions and persist each through the
-    * TSS with the configured writer threads (§4.2.2).
+    * TSS with 4 writer threads per partition (§4.2.2).
     */
   protected final def persistSelection(triggerId: Int,
                                        selected: IndexedSeq[SelectedSample]): TriggerTrainingSet = {
     val parts = selected.grouped(ctx.partitionSize).toIndexedSeq
     parts.zipWithIndex.foreach { case (p, i) =>
-      ctx.tss.writePartition(triggerId, i, p, ctx.writerThreads)
+      ctx.tss.writePartition(triggerId, i, p, numThreads = 4)
     }
     TriggerTrainingSet(triggerId, parts.length, selected.length.toLong, ctx.tss)
   }
@@ -109,14 +113,4 @@ abstract class AbstractSelectionStrategy(protected val ctx: SelectorContext,
     */
   protected final def orderHash(key: Long, triggerId: Int): Long =
     Rng.mix2(key, ctx.seed ^ (triggerId.toLong * 0x9E3779B97F4A7C15L))
-
-  /** The same hash as a Spark UDF. Built from captured locals only, so the
-    * closure does not drag the strategy (and its backend) into Spark task
-    * serialization.
-    */
-  protected final def orderHashUdf(triggerId: Int): org.apache.spark.sql.expressions.UserDefinedFunction = {
-    val seed = ctx.seed
-    val t    = triggerId.toLong
-    org.apache.spark.sql.functions.udf((k: Long) => Rng.mix2(k, seed ^ (t * 0x9E3779B97F4A7C15L)))
-  }
 }

@@ -1,7 +1,5 @@
 package repro.selector
 
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 import repro.util.Rng
 import scala.collection.mutable
 
@@ -21,10 +19,7 @@ final class NewDataStrategy(ctx: SelectorContext, resetAfterTrigger: Boolean,
 
 /** Uniform random presampling (§5.2, pipeline 2): keep a `fraction` (or at
   * most `maxSamples`) of the candidate pool, chosen by ordering on a
-  * deterministic per-(key, trigger) hash. When the backend is the
-  * Spark/Parquet one, the selection runs as a Spark pipeline stage
-  * (orderBy-hash + limit over the growing Parquet dataset); otherwise it
-  * scans the backend.
+  * deterministic per-(key, trigger) hash.
   */
 final class UniformRandomStrategy(ctx: SelectorContext, resetAfterTrigger: Boolean,
                                   fraction: Option[Double] = None,
@@ -38,76 +33,43 @@ final class UniformRandomStrategy(ctx: SelectorContext, resetAfterTrigger: Boole
     math.min(byFraction, maxSamples.map(_.toLong).getOrElse(Long.MaxValue)).toInt
   }
 
-  override protected def select(triggerId: Int): IndexedSeq[SelectedSample] =
-    (ctx.backend, ctx.spark) match {
-      case (b: SparkParquetBackend, Some(spark)) =>
-        val mixUdf = orderHashUdf(triggerId)
-        val pool   = b.df
-        val k      = targetCount(pool.count())
-        pool.select(col("key"))
-          .orderBy(mixUdf(col("key")), col("key"))
-          .limit(k)
-          .collect().toIndexedSeq
-          .map(r => SelectedSample(r.getLong(0), 1.0))
-      case _ =>
-        val pool = ctx.backend.scanAll()
-        pool.sortBy(s => (orderHash(s.key, triggerId), s.key))
-          .take(targetCount(pool.length))
-          .map(s => SelectedSample(s.key, 1.0))
-    }
+  override protected def select(triggerId: Int): IndexedSeq[SelectedSample] = {
+    val pool = ctx.backend.scanAll()
+    pool.sortBy(s => (orderHash(s.key, triggerId), s.key))
+      .take(targetCount(pool.length))
+      .map(s => SelectedSample(s.key, 1.0))
+  }
 }
 
 /** Balanced presampling over some column (§4.1.2): the developer "inherits
   * from the AbstractBalancedStrategy and specifies the column to balance
   * on". Each group contributes an equal quota — `limit / numGroups` when a
   * limit is set, else the smallest group's size — with members chosen by
-  * the deterministic hash order. On the Spark backend this is a window
-  * (`row_number` over hash order per group) over the Parquet dataset.
+  * the deterministic hash order.
   */
 abstract class AbstractBalancedStrategy(ctx: SelectorContext, resetAfterTrigger: Boolean,
                                         limit: Option[Int])
     extends AbstractSelectionStrategy(ctx, resetAfterTrigger, None) {
 
-  /** Column of the backend dataset to balance on ("label" or "trig"). */
-  protected def balanceColumn: String
+  /** The value of a sample to balance on: its label or its arrival trigger. */
+  protected def groupOf(s: SeenSample): Long
 
-  private def groupOf(s: SeenSample): Long =
-    if (balanceColumn == "label") s.label else s.seenInTrigger.toLong
-
-  override protected def select(triggerId: Int): IndexedSeq[SelectedSample] =
-    (ctx.backend, ctx.spark) match {
-      case (b: SparkParquetBackend, Some(spark)) =>
-        val pool      = b.df
-        val numGroups = pool.select(balanceColumn).distinct().count()
-        if (numGroups == 0) return IndexedSeq.empty
-        val quota = limit.map(l => (l / numGroups).toInt).getOrElse {
-          pool.groupBy(col(balanceColumn)).count()
-            .agg(min("count")).collect()(0).getLong(0).toInt
-        }
-        val mixUdf = orderHashUdf(triggerId)
-        val w = Window.partitionBy(col(balanceColumn)).orderBy(mixUdf(col("key")), col("key"))
-        pool.withColumn("rn", row_number().over(w))
-          .filter(col("rn") <= quota)
-          .select("key").orderBy("key")
-          .collect().toIndexedSeq
-          .map(r => SelectedSample(r.getLong(0), 1.0))
-      case _ =>
-        val pool   = ctx.backend.scanAll()
-        val groups = pool.groupBy(groupOf)
-        if (groups.isEmpty) return IndexedSeq.empty
-        val quota = limit.map(_ / groups.size).getOrElse(groups.values.map(_.size).min)
-        groups.values.toIndexedSeq
-          .flatMap(_.sortBy(s => (orderHash(s.key, triggerId), s.key)).take(quota))
-          .sortBy(_.key)
-          .map(s => SelectedSample(s.key, 1.0))
-    }
+  override protected def select(triggerId: Int): IndexedSeq[SelectedSample] = {
+    val groups = ctx.backend.scanAll().groupBy(groupOf)
+    if (groups.isEmpty) return IndexedSeq.empty
+    val quota = limit.map(_ / groups.size).getOrElse(groups.values.map(_.size).min)
+    groups.values.toIndexedSeq
+      .flatMap(_.sortBy(s => (orderHash(s.key, triggerId), s.key)).take(quota))
+      .sortBy(_.key)
+      .map(s => SelectedSample(s.key, 1.0))
+  }
 }
 
 /** Equal share per label (class-balanced presampling). */
 final class LabelBalancedStrategy(ctx: SelectorContext, resetAfterTrigger: Boolean,
                                   limit: Option[Int] = None)
     extends AbstractBalancedStrategy(ctx, resetAfterTrigger, limit) {
-  override protected def balanceColumn: String = "label"
+  override protected def groupOf(s: SeenSample): Long = s.label
 }
 
 /** Equal share per trigger in which samples arrived. Only meaningful without
@@ -116,7 +78,7 @@ final class LabelBalancedStrategy(ctx: SelectorContext, resetAfterTrigger: Boole
 final class TriggerBalancedStrategy(ctx: SelectorContext, resetAfterTrigger: Boolean,
                                     limit: Option[Int] = None)
     extends AbstractBalancedStrategy(ctx, resetAfterTrigger, limit) {
-  override protected def balanceColumn: String = "trig"
+  override protected def groupOf(s: SeenSample): Long = s.seenInTrigger.toLong
 }
 
 /** GDumb (Prabhu et al., ECCV'20) as the paper's example *online*
@@ -184,6 +146,9 @@ final class PolicyScheduler(schedule: Seq[(Int, SelectionStrategy)]) extends Sel
     "schedule must be non-empty and cover trigger 0")
   private val sorted  = schedule.sortBy(_._1)
   private var trigger = 0
+  // The strategy that produced the latest trigger training set; the
+  // trainer reads its downsampling after `onTrigger` advanced `trigger`.
+  private var served: Option[SelectionStrategy] = None
 
   private def active: SelectionStrategy =
     sorted.takeWhile(_._1 <= trigger).last._2
@@ -198,11 +163,13 @@ final class PolicyScheduler(schedule: Seq[(Int, SelectionStrategy)]) extends Sel
     val a = active
     a.seekTrigger(trigger)
     val tts = a.onTrigger()
+    served = Some(a)
     trigger += 1
     tts
   }
 
-  override def downsampling: Option[DownsamplingConfig] = active.downsampling
+  override def downsampling: Option[DownsamplingConfig] =
+    served.getOrElse(active).downsampling
   override def nextTriggerId: Int = trigger
   override def seekTrigger(triggerId: Int): Unit = { trigger = triggerId }
 }

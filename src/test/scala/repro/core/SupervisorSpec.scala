@@ -5,6 +5,7 @@ import java.util.concurrent.atomic.AtomicInteger
 import repro.SparkSpec
 import repro.TestUtil.{ForwardingFs, withTmpDir}
 import repro.datagen.{ClocLite, CriteoLite}
+import repro.selector.TriggerSampleStorage
 import repro.storage.{FileSystemWrapper, LocalFileSystemWrapper, SampleRegistry, StorageService}
 import repro.trainer.IdentityTransform
 
@@ -87,11 +88,21 @@ class SupervisorSpec extends SparkSpec {
       val registry = new SampleRegistry
       ClocLite.generate(fs, registry, s"$dir/data", 30, 4, 16, years = 2004 to 2005)
       val storage = new StorageService(registry, fs)
-      val sup = new Supervisor(clocPipeline("spark"), registry, storage, fs,
-        s"$dir/work", spark = Some(spark))
-      val report = sup.runExperiment(replayBatchSize = 20, trailingTrigger = true)
+      /** The report and each trigger's ordered (key, weight) TSS sequence. */
+      def run(backend: String): (PipelineReport, Seq[Seq[(Long, Double)]]) = {
+        val p = clocPipeline(backend)
+        val uniform = p.copy(selectionName = "UniformRandomStrategy",
+          selectionConfig = p.selectionConfig + ("fraction" -> "0.5"))
+        val sup = new Supervisor(uniform, registry, storage, fs, s"$dir/$backend",
+          spark = Some(spark))
+        val report = sup.runExperiment(replayBatchSize = 20, trailingTrigger = true)
+        val tss = new TriggerSampleStorage(fs, s"$dir/$backend/tss")
+        (report, report.triggers.map(t => tss.readTrigger(t.triggerId).map(x => (x.key, x.weight))))
+      }
+      val (report, selected) = run("spark")
       assert(report.triggers.size == 2)
       assert(report.triggers.forall(_.training.samplesTrainedOn > 0))
+      assert(selected == run("local")._2)
       registry.close()
     }
   }

@@ -1,11 +1,10 @@
 package repro.datagen
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
 import repro.TestUtil.withTmpDir
 import repro.storage.{LocalFileSystemWrapper, SampleRegistry, StorageService}
 
-class ClocLiteSpec extends SparkSpec {
+class ClocLiteSpec extends AnyFunSuite {
   private val fs = new LocalFileSystemWrapper
 
   test("class prior sums to one and is valid for every year") {
@@ -102,14 +101,10 @@ class ClocLiteSpec extends SparkSpec {
     }
   }
 
-  test("metadataFrame matches drawClass") {
-    val df = ClocLite.metadataFrame(spark, 10, 6, seed = 3L, years = 2004 to 2005)
-    assert(df.count() == 20)
-    val rows = df.collect().map(r => (r.getInt(1), r.getLong(2))).toSeq
-    rows.groupBy(_._1).foreach { case (year, rs) =>
-      rs.zipWithIndex.foreach { case ((_, label), _) =>
-        assert(label >= 0 && label < 6)
-      }
+  test("drawClass stays in [0, numClasses)") {
+    for (year <- ClocLite.Years; i <- 0 until 50) {
+      val c = ClocLite.drawClass(6, year, i, 3L)
+      assert(c >= 0 && c < 6, s"year $year, sample $i drew class $c")
     }
   }
 

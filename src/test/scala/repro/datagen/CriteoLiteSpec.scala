@@ -2,11 +2,10 @@ package repro.datagen
 
 import java.nio.{ByteBuffer, ByteOrder}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
 import repro.TestUtil.withTmpDir
 import repro.storage.{LocalFileSystemWrapper, SampleRegistry, StorageService}
 
-class CriteoLiteSpec extends SparkSpec {
+class CriteoLiteSpec extends AnyFunSuite {
   private val fs = new LocalFileSystemWrapper
 
   test("record is exactly 160 bytes, matching the paper's sample size") {
@@ -89,12 +88,11 @@ class CriteoLiteSpec extends SparkSpec {
     }
   }
 
-  test("asDataFrame exposes parsed columns with consistent labels") {
-    val df = CriteoLite.asDataFrame(spark, 100, seed = 42)
-    assert(df.count() == 100)
-    val labels = df.select("key", "label").collect()
-      .map(row => row.getLong(0) -> row.getInt(1)).toMap
-    (1L to 100L).foreach(k => assert(labels(k).toLong == CriteoLite.labelOf(k, 42L)))
+  test("the label in a record equals labelOf") {
+    (1L to 100L).foreach { k =>
+      val rec = ByteBuffer.wrap(CriteoLite.record(k, 42L)).order(ByteOrder.LITTLE_ENDIAN)
+      assert(rec.getInt(0).toLong == CriteoLite.labelOf(k, 42L))
+    }
   }
 
   test("ground truth is learnable: features correlate with the label") {

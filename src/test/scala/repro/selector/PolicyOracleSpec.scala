@@ -5,17 +5,17 @@ import repro.{Oracle, SparkSpec}
 import repro.TestUtil.withTmpDir
 import repro.storage.LocalFileSystemWrapper
 
-/** Cross-checks the Spark-side selection policy stages against DuckDB SQL
-  * over the same metadata — "many policies can be expressed using SQL
-  * statements" (§4.1.2), so a wrong Spark policy stage is caught by the
-  * result-equality oracle, not just by "it ran".
+/** Cross-checks the selection policies, run on the Spark/Parquet backend,
+  * against DuckDB SQL over the same metadata — "many policies can be
+  * expressed using SQL statements" (§4.1.2), so a wrong policy is caught by
+  * the result-equality oracle, not just by "it ran".
   */
 class PolicyOracleSpec extends SparkSpec {
   private val fs = new LocalFileSystemWrapper
 
   private def ctx(dir: String, backend: MetadataBackend): SelectorContext =
     SelectorContext(backend, new TriggerSampleStorage(fs, s"$dir/tss"),
-      partitionSize = 50, seed = 17, spark = Some(spark))
+      partitionSize = 50, seed = 17)
 
   private def seed(backend: MetadataBackend, n: Int): Unit =
     backend.persist((1 to n).map(i =>

@@ -1,6 +1,5 @@
 package repro.selector
 
-import org.scalatest.funsuite.AnyFunSuite
 import repro.SparkSpec
 import repro.TestUtil.withTmpDir
 import repro.storage.LocalFileSystemWrapper
@@ -11,8 +10,7 @@ class StrategiesSpec extends SparkSpec {
   private def ctx(dir: String, backend: MetadataBackend,
                   partitionSize: Int = 10): SelectorContext =
     SelectorContext(backend, new TriggerSampleStorage(fs, s"$dir/tss"),
-      partitionSize = partitionSize, writerThreads = 2, seed = 99,
-      spark = Some(spark))
+      partitionSize = partitionSize, seed = 99)
 
   private def newSamples(keys: Range, label: Long => Long = _ % 3): Seq[NewSample] =
     keys.map(k => NewSample(k.toLong, label(k.toLong), k.toLong))
@@ -79,25 +77,6 @@ class StrategiesSpec extends SparkSpec {
     }
   }
 
-  test("newdata: works identically on all three backends") {
-    withTmpDir { dir =>
-      val results = Seq(
-        new DuckDbBackend,
-        new LocalBinaryBackend(fs, s"$dir/lb"),
-        new SparkParquetBackend(spark, s"$dir/pq")
-      ).zipWithIndex.map { case (b, i) =>
-        val c = ctx(s"$dir/run$i", b)
-        val s = new NewDataStrategy(c, resetAfterTrigger = true)
-        s.inform(newSamples(1 to 12))
-        val tts  = s.onTrigger()
-        val keys = tts.tss.readTrigger(0).map(_.key).sorted
-        b.close()
-        keys
-      }
-      assert(results.distinct.size == 1)
-    }
-  }
-
   // ---------------- UniformRandomStrategy ----------------
 
   test("uniform: fraction selects ceil(f * n) distinct candidates") {
@@ -147,21 +126,6 @@ class StrategiesSpec extends SparkSpec {
       val second = s.onTrigger().tss.readTrigger(1).map(_.key).toSet
       assert(first != second, "per-trigger hash should vary the draw")
       c.backend.close()
-    }
-  }
-
-  test("uniform: spark backend selects the same set as the scan path") {
-    withTmpDir { dir =>
-      def run(backend: MetadataBackend, sub: String): Set[Long] = {
-        val c = ctx(s"$dir/$sub", backend)
-        val s = new UniformRandomStrategy(c, resetAfterTrigger = true, fraction = Some(0.25))
-        s.inform(newSamples(1 to 40))
-        val keys = s.onTrigger().tss.readTrigger(0).map(_.key).toSet
-        backend.close()
-        keys
-      }
-      assert(run(new SparkParquetBackend(spark, s"$dir/pq"), "spark") ==
-             run(new DuckDbBackend, "duck"))
     }
   }
 
@@ -220,18 +184,42 @@ class StrategiesSpec extends SparkSpec {
     }
   }
 
-  test("balanced: spark backend matches scan-path selection") {
-    withTmpDir { dir =>
-      def run(backend: MetadataBackend, sub: String): Set[Long] = {
-        val c = ctx(s"$dir/$sub", backend)
-        val s = new LabelBalancedStrategy(c, resetAfterTrigger = true, limit = Some(9))
-        s.inform(newSamples(1 to 30))
-        val keys = s.onTrigger().tss.readTrigger(0).map(_.key).toSet
-        backend.close()
-        keys
+  // ---------------- Every presampler on every backend ----------------
+
+  /** Presamplers whose selection reads the metadata backend, by name. */
+  private val presamplers: Seq[(String, SelectorContext => SelectionStrategy)] = Seq(
+    "newdata" -> (c => new NewDataStrategy(c, resetAfterTrigger = true)),
+    "uniform with fraction" ->
+      (c => new UniformRandomStrategy(c, resetAfterTrigger = false, fraction = Some(0.25))),
+    "uniform with maxSamples" ->
+      (c => new UniformRandomStrategy(c, resetAfterTrigger = true, maxSamples = Some(7))),
+    "label-balanced" -> (c => new LabelBalancedStrategy(c, resetAfterTrigger = true)),
+    "label-balanced with limit" ->
+      (c => new LabelBalancedStrategy(c, resetAfterTrigger = true, limit = Some(9))),
+    "trigger-balanced" -> (c => new TriggerBalancedStrategy(c, resetAfterTrigger = false)))
+
+  presamplers.foreach { case (name, make) =>
+    test(s"$name: works identically on all three backends") {
+      withTmpDir { dir =>
+        val results = Seq(
+          new DuckDbBackend,
+          new LocalBinaryBackend(fs, s"$dir/lb"),
+          new SparkParquetBackend(spark, s"$dir/pq")
+        ).zipWithIndex.map { case (b, i) =>
+          val s = make(ctx(s"$dir/run$i", b))
+          // Two triggers, so the non-resetting policies select from history.
+          val perTrigger = Seq(1 to 30, 31 to 42).map { keys =>
+            s.inform(newSamples(keys))
+            val tts = s.onTrigger()
+            tts.tss.readTrigger(tts.triggerId).map(x => (x.key, x.weight))
+          }
+          b.close()
+          perTrigger
+        }
+        assert(results.head.forall(_.nonEmpty))
+        assert(results.distinct.size == 1,
+          s"ordered (key, weight) per trigger differs across backends: $results")
       }
-      assert(run(new SparkParquetBackend(spark, s"$dir/pq"), "spark") ==
-             run(new LocalBinaryBackend(fs, s"$dir/lb2/x"), "local"))
     }
   }
 
@@ -338,6 +326,25 @@ class StrategiesSpec extends SparkSpec {
       assert(t1.tss.readTrigger(1).size == 2)
       // Trigger 0's TSS files were not overwritten by the second strategy.
       assert(t0.tss.readTrigger(0).size == 4)
+      c.backend.close()
+    }
+  }
+
+  test("scheduler: downsampling is that of the strategy that served the trigger") {
+    withTmpDir { dir =>
+      val c  = ctx(dir, new DuckDbBackend)
+      val ds = DownsamplingConfig("GradNormCE", 0.5)
+      val sched = new PolicyScheduler(Seq(
+        0 -> new NewDataStrategy(c, resetAfterTrigger = true),
+        2 -> new CoresetStrategy(new NewDataStrategy(c, resetAfterTrigger = true), ds),
+        4 -> new NewDataStrategy(c, resetAfterTrigger = true)))
+      // Read after onTrigger, where the supervisor hands it to the trainer.
+      val perTrigger = (0 until 5).map { t =>
+        sched.inform(newSamples(t * 10 + 1 to t * 10 + 10))
+        sched.onTrigger()
+        sched.downsampling
+      }
+      assert(perTrigger == Seq(None, None, Some(ds), Some(ds), None))
       c.backend.close()
     }
   }
