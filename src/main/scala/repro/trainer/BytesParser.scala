@@ -2,6 +2,7 @@ package repro.trainer
 
 import java.nio.{ByteBuffer, ByteOrder}
 import repro.datagen.{ClocLite, CriteoLite}
+import repro.util.FloatMath
 
 /** The user-defined bytes-parsing function of a pipeline (§3.5): converts a
   * sample's raw payload bytes into the model's input feature vector. It is
@@ -31,7 +32,7 @@ final class CriteoBytesParser(hashDim: Int = 128) extends BytesParser {
     val x  = new Array[Float](dim)
     var f = 0
     while (f < CriteoLite.NumNumeric) {
-      x(f) = math.log1p(bb.getFloat(4 + f * 4).toDouble).toFloat
+      x(f) = FloatMath.log1pFloat(bb.getFloat(4 + f * 4))
       f += 1
     }
     var c = 0

@@ -147,6 +147,7 @@ class OnlineDatasetSpec extends AnyFunSuite {
       val parts = selected.grouped(70).toIndexedSeq
       parts.zipWithIndex.foreach { case (p, i) => tss.writePartition(0, i, p, 3) }
       val tts = TriggerTrainingSet(0, parts.size, selected.size, tss)
+      val reference = new ReferenceCriteoParser(16)
 
       for {
         workers  <- Seq(1, 2, 3)
@@ -172,9 +173,25 @@ class OnlineDatasetSpec extends AnyFunSuite {
         }
         val ds = new OnlineDataset(new TssSource(tts), storage, new CriteoBytesParser(16),
           IdentityTransform, cfg(workers, prefetch, parallel, storageThreads = 1, batch = batch))
-        val got = ds.batches().map(b => b.keys.toSeq.zip(b.weights.toSeq).map(SelectedSample.tupled)).toSeq
-        assert(got == expected.toSeq,
-          s"workers=$workers batch=$batch prefetch=$prefetch parallel=$parallel")
+        val batches = ds.batches().toSeq
+        val got     = batches.map(b => b.keys.toSeq.zip(b.weights.toSeq).map(SelectedSample.tupled))
+        val where   = s"workers=$workers batch=$batch prefetch=$prefetch parallel=$parallel"
+        assert(got == expected.toSeq, where)
+        // Features, labels and the weights trained on them are bit-identical
+        // to the ByteBuffer/StrictMath parse of the expected batches.
+        val model  = new LogisticRegressionModel(reference.dim, SgdConfig(0.05, momentum = 0.9), seed = 3L)
+        val oracle = new LogisticRegressionModel(reference.dim, SgdConfig(0.05, momentum = 0.9), seed = 3L)
+        batches.zip(expected).foreach { case (b, e) =>
+          val xs = e.map(s => reference.parse(CriteoLite.record(s.key, 42L))).toArray
+          val ys = e.map(s => CriteoLite.labelOf(s.key, 42L).toInt).toArray
+          assert(b.features.map(_.map(java.lang.Float.floatToRawIntBits).toSeq).toSeq ==
+            xs.map(_.map(java.lang.Float.floatToRawIntBits).toSeq).toSeq, where)
+          assert(b.labels.toSeq == ys.toSeq, where)
+          model.trainBatch(b.features, b.labels, b.weights)
+          oracle.trainBatch(xs, ys, e.map(_.weight).toArray)
+        }
+        assert(model.weights.map(java.lang.Double.doubleToRawLongBits).toSeq ==
+          oracle.weights.map(java.lang.Double.doubleToRawLongBits).toSeq, where)
       }
       r.close()
     }
