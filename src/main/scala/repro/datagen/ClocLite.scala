@@ -1,6 +1,5 @@
 package repro.datagen
 
-import java.lang.invoke.{MethodHandles, VarHandle}
 import java.nio.{ByteBuffer, ByteOrder}
 import repro.storage.{FileSystemWrapper, FileWrapperType, SampleMeta, SampleRegistry}
 import repro.util.Rng
@@ -90,19 +89,14 @@ object ClocLite {
     bytes
   }
 
-  /** Little-endian float view of a payload, read in place (a bulk
-    * `asFloatBuffer().get` allocated a buffer per payload).
-    */
-  private val FloatLE: VarHandle =
-    MethodHandles.byteArrayViewVarHandle(classOf[Array[Float]], ByteOrder.LITTLE_ENDIAN)
-
   /** Parse a payload back into a float feature vector (the bytes-parser
     * function of the CLOC pipeline).
     */
   def parse(payload: Array[Byte]): Array[Float] = {
+    val bb  = ByteBuffer.wrap(payload).order(ByteOrder.LITTLE_ENDIAN)
     val out = new Array[Float](payload.length / 4)
     var i = 0
-    while (i < out.length) { out(i) = FloatLE.get(payload, i * 4): Float; i += 1 }
+    while (i < out.length) { out(i) = bb.getFloat(i * 4); i += 1 }
     out
   }
 

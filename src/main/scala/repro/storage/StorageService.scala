@@ -2,6 +2,7 @@ package repro.storage
 
 import java.util.concurrent.{ArrayBlockingQueue, TimeUnit}
 import java.util.concurrent.atomic.AtomicReference
+import repro.util.Parallel
 import scala.collection.immutable.ArraySeq
 
 /** One streamed unit of retrieved data — the paper's gRPC "send buffer"
@@ -45,14 +46,12 @@ final class StorageService(registry: SampleRegistry, fs: FileSystemWrapper,
     val Done    = new Object
 
     parts.filter(_.nonEmpty).foreach { part =>
-      val t = new Thread(() => {
+      Parallel.fork("storage-retrieval") {
         try retrievePart(part, queue.put(_))
         catch {
           case e: Throwable => failure.compareAndSet(null, e)
         } finally queue.put(Done)
-      }, "storage-retrieval")
-      t.setDaemon(true)
-      t.start()
+      }
     }
 
     new Iterator[PayloadBatch] {

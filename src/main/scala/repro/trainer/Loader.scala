@@ -2,6 +2,7 @@ package repro.trainer
 
 import java.util.concurrent.ArrayBlockingQueue
 import java.util.concurrent.atomic.AtomicReference
+import repro.util.Parallel
 import scala.collection.mutable
 
 /** The dataloader machinery shared by [[OnlineDataset]] (§4.2.1) and the
@@ -41,13 +42,11 @@ private[trainer] object Loader {
 
     producers.indices.foreach { w =>
       val sink = new Sink(queues(w), failure)
-      val t = new Thread(() => {
+      Parallel.fork(s"loader-worker-$w") {
         try producers(w)(sink)
         catch { case e: Throwable => sink.fail(e) }
         finally queues(w).put(WorkerDone)
-      }, s"loader-worker-$w")
-      t.setDaemon(true)
-      t.start()
+      }
     }
     assemble(queues, failure, batchSize)
   }

@@ -4,6 +4,7 @@ import java.util.concurrent.{LinkedBlockingQueue, Semaphore}
 import java.util.concurrent.atomic.AtomicInteger
 import repro.selector.TriggerTrainingSet
 import repro.storage.{PayloadBatch, StorageService}
+import repro.util.Parallel
 import scala.collection.mutable
 
 /** Tuning knobs of the data path, matching the dimensions varied in §5.1:
@@ -129,7 +130,7 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
       val permits     = new Semaphore(cfg.prefetchedPartitions)
       val nextPart    = new AtomicInteger(0)
       (0 until cfg.parallelPrefetchRequests).foreach { pf =>
-        val t = new Thread(() => {
+        Parallel.fork(s"prefetch-$workerId-$pf") {
           try {
             var running = true
             while (running && !out.failed) {
@@ -153,9 +154,7 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
               // Unblock the consumer on every not-yet-finished partition.
               chunkQueues.foreach(_.put(PartitionDone))
           }
-        }, s"prefetch-$workerId-$pf")
-        t.setDaemon(true)
-        t.start()
+        }
       }
       var p = 0
       while (p < nParts && !out.failed) {

@@ -243,6 +243,22 @@ class OnlineDatasetSpec extends AnyFunSuite {
     }
   }
 
+  test("a repeated epoch reuses the data-path threads instead of starting new ones") {
+    withTmpDir { dir =>
+      val (r, storage, tts) = setup(dir, 800, partitionSize = 100)
+      val ds = new OnlineDataset(new TssSource(tts), storage, new CriteoBytesParser(16),
+        IdentityTransform, cfg(16, prefetch = 2, parallel = 2, storageThreads = 2))
+      val threads = java.lang.management.ManagementFactory.getThreadMXBean
+      (0 until 2).foreach(_ => collectKeys(ds)) // warm the pool
+      val before = threads.getTotalStartedThreadCount
+      assert(collectKeys(ds).size == 800)
+      // A thread per task would start 16 workers + 32 prefetchers + 256
+      // retrievals (8 partitions x 16 workers x 2 storage threads).
+      assert(threads.getTotalStartedThreadCount - before < 32)
+      r.close()
+    }
+  }
+
   test("config validation") {
     intercept[IllegalArgumentException] { OnlineDatasetConfig(0, 1, 1, 1, 1) }
     intercept[IllegalArgumentException] { OnlineDatasetConfig(1, 0, 1, 1, 1) }

@@ -4,18 +4,20 @@ import java.util.concurrent.atomic.AtomicLong
 
 /** Compares [[FloatMath.log1pFloat]] with `(float) StrictMath.log1p` on every
   * float bit pattern of the fast range (2^-29 <= |v| <= 2^29, v > -1), or on
-  * every `stride`-th one. It prints the first 100 fallbacks it meets, then
-  * the patterns checked, the fallbacks taken, the mismatches and the wall
-  * time, and exits with status 1 on a mismatch.
+  * every `stride`-th one, on 4 threads. It prints the first 100 fallbacks
+  * it meets, then the patterns checked, the fallbacks taken, the
+  * mismatches and the wall time, and exits with status 1 on a mismatch.
   *
   * {{{
   * sbt "Test/runMain repro.util.Log1pExhaustiveCheck"
   * sbt 'set Test / javaOptions += "-XX:TieredStopAtLevel=1"' "Test/runMain repro.util.Log1pExhaustiveCheck"
   * sbt 'set Test / javaOptions += "-Xint"' "Test/runMain repro.util.Log1pExhaustiveCheck --stride 7"
   * }}}
-  * Options: `--stride N` (default 1), `--threads N` (default 4).
+  * Option: `--stride N` (default 1).
   */
 object Log1pExhaustiveCheck {
+  private val Threads = 4
+
   private def bits(v: Float): Int = java.lang.Float.floatToRawIntBits(v)
 
   /** The fast range as inclusive bit-pattern ranges, positive then negative. */
@@ -24,10 +26,12 @@ object Log1pExhaustiveCheck {
     (bits(-FloatMath.MinFast.toFloat), bits(Math.nextUp(-1.0f))))
 
   def main(args: Array[String]): Unit = {
-    val opts    = args.grouped(2).collect { case Array(k, v) => k -> v.toInt }.toMap
-    val stride  = opts.getOrElse("--stride", 1)
-    val threads = opts.getOrElse("--threads", 4)
-    require(stride >= 1 && threads >= 1 && threads <= 64, "need stride >= 1 and 1..64 threads")
+    val stride = args match {
+      case Array("--stride", n) => n.toInt
+      case Array()              => 1
+      case _                    => sys.error("usage: Log1pExhaustiveCheck [--stride N]")
+    }
+    require(stride >= 1, "need stride >= 1")
     val checked, fallbacks, mismatches = new AtomicLong
     // Work items: blocks of 2^20 patterns, handed out through one counter.
     val blocks = ranges.flatMap { case (lo, hi) =>
@@ -35,7 +39,7 @@ object Log1pExhaustiveCheck {
     }.toIndexedSeq
     val next    = new AtomicLong
     val started = System.nanoTime()
-    val workers = (0 until threads).map { _ =>
+    val workers = (0 until Threads).map { _ =>
       val t = new Thread(() => {
         var b = next.getAndIncrement()
         while (b < blocks.size) {
@@ -68,7 +72,7 @@ object Log1pExhaustiveCheck {
     workers.foreach(_.join())
     val seconds = (System.nanoTime() - started) / 1e9
     val vm = System.getProperty("java.vm.info", "")
-    println(f"log1pFloat vs StrictMath.log1p ($vm%s, stride $stride, $threads threads): " +
+    println(f"log1pFloat vs StrictMath.log1p ($vm%s, stride $stride, $Threads threads): " +
       f"${checked.get}%d patterns checked, ${fallbacks.get}%d fallbacks, " +
       f"${mismatches.get}%d mismatches, $seconds%.1f s")
     if (mismatches.get != 0) sys.exit(1)
