@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.core.yaml.{MiniYaml, YamlValue}
+import repro.core.yaml.{Yaml, YamlValue}
 import repro.selector.DownsamplingConfig
 import repro.trainer.{OnlineDatasetConfig, SgdConfig}
 
@@ -43,7 +43,7 @@ object PipelineConfig {
     * structural problems fail here with the offending key.
     */
   def fromYaml(text: String): PipelineConfig = {
-    val y = MiniYaml.parse(text)
+    val y = Yaml.parse(text)
 
     def numMap(v: YamlValue): Map[String, Double] =
       v.map.collect { case (k, value) if value != repro.core.yaml.YamlNull => k -> value.num }

@@ -78,7 +78,7 @@ class PropertySpec extends AnyFunSuite {
     val keyGen = Gen.identifier.suchThat(_.nonEmpty).map(_.take(12))
     check(Prop.forAll(Gen.nonEmptyMap(Gen.zip(keyGen, Gen.choose(-1000000, 1000000)))) { m =>
       val text   = m.map { case (k, v) => s"$k: $v" }.mkString("\n")
-      val parsed = MiniYaml.parse(text)
+      val parsed = Yaml.parse(text)
       m.forall { case (k, v) => parsed(k).int == v }
     })
   }

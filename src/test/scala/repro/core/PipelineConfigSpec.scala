@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.selector.DownsamplingConfig
 
 class PipelineConfigSpec extends AnyFunSuite {
 
@@ -169,5 +170,43 @@ class PipelineConfigSpec extends AnyFunSuite {
         |    name: NewDataStrategy
         |""".stripMargin)
     assert(p.datasetId == "my_clicklogs" && p.bytesParser == "criteo")
+  }
+
+  test("the README's pipeline parses") {
+    val readme = new String(java.nio.file.Files.readAllBytes(java.nio.file.Paths.get("README.md")), "UTF-8")
+    val start  = readme.indexOf("```yaml\n") + "```yaml\n".length
+    val p = PipelineConfig.fromYaml(readme.substring(start, readme.indexOf("```", start)))
+    assert(p.modelConfig("num_classes") == 48.0)
+    assert(p.triggerConfig("every_seconds") == 31536000.0)
+    assert(p.sgd.lr == 0.025 && p.sgd.momentum == 0.9 && p.sgd.weightDecay == 1e-4)
+    assert(p.selectionConfig("storage_backend") == "spark")
+    assert(p.downsampling.contains(DownsamplingConfig("GradNormCE", 0.5, sampleThenBatch = true)))
+  }
+
+  test("a fractional batch_size is refused, naming the value") {
+    val e = intercept[IllegalArgumentException] {
+      PipelineConfig.fromYaml(full.replace("batch_size: 256", "batch_size: 2.5"))
+    }
+    assert(e.getMessage.contains("2.5"))
+    assert(PipelineConfig.fromYaml(full.replace("batch_size: 256", "batch_size: 256.0")).batchSize == 256)
+  }
+
+  test("an out-of-range dataloader_workers is refused, naming the value") {
+    val e = intercept[IllegalArgumentException] {
+      PipelineConfig.fromYaml(full.replace("dataloader_workers: 4", "dataloader_workers: 3000000000"))
+    }
+    assert(e.getMessage.contains("3000000000"))
+  }
+
+  test("a seed above 2^53 keeps every bit") {
+    val p = PipelineConfig.fromYaml(full.replace("seed: 7", "seed: 9007199254740993"))
+    assert(p.seed == 9007199254740993L)
+  }
+
+  test("a duplicated key is refused, naming the key") {
+    val e = intercept[IllegalArgumentException] {
+      PipelineConfig.fromYaml(full.replace("batch_size: 256", "batch_size: 256\n  batch_size: 512"))
+    }
+    assert(e.getMessage.contains("duplicate key batch_size"))
   }
 }

@@ -5,7 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 class MiniYamlSpec extends AnyFunSuite {
 
   test("flat map of scalars") {
-    val y = MiniYaml.parse("a: 1\nb: hello\nc: true\nd: 1.5\n")
+    val y = Yaml.parse("a: 1\nb: hello\nc: true\nd: 1.5\n")
     assert(y("a").int == 1)
     assert(y("b").str == "hello")
     assert(y("c").bool)
@@ -13,7 +13,7 @@ class MiniYamlSpec extends AnyFunSuite {
   }
 
   test("nested maps by indentation") {
-    val y = MiniYaml.parse(
+    val y = Yaml.parse(
       """model:
         |  id: ResNet18
         |  config:
@@ -24,30 +24,30 @@ class MiniYamlSpec extends AnyFunSuite {
   }
 
   test("quoted strings keep content, lose quotes") {
-    val y = MiniYaml.parse("a: \"x: y\"\nb: 'single'\n")
+    val y = Yaml.parse("a: \"x: y\"\nb: 'single'\n")
     assert(y("a").str == "x: y")
     assert(y("b").str == "single")
   }
 
   test("inline lists") {
-    val y = MiniYaml.parse("xs: [1, 2, 3]\nys: [\"a\", \"b\"]\nzs: []\n")
+    val y = Yaml.parse("xs: [1, 2, 3]\nys: [\"a\", \"b\"]\nzs: []\n")
     assert(y("xs").list.map(_.int) == Seq(1, 2, 3))
     assert(y("ys").list.map(_.str) == Seq("a", "b"))
     assert(y("zs").list.isEmpty)
   }
 
   test("inline list with nested commas in quotes") {
-    val y = MiniYaml.parse("""ts: ["transforms.Normalize((0.1, 0.2))", "x"]""" + "\n")
+    val y = Yaml.parse("""ts: ["transforms.Normalize((0.1, 0.2))", "x"]""" + "\n")
     assert(y("ts").list.map(_.str) == Seq("transforms.Normalize((0.1, 0.2))", "x"))
   }
 
   test("block lists of scalars") {
-    val y = MiniYaml.parse("xs:\n  - 1\n  - 2\n  - foo\n")
+    val y = Yaml.parse("xs:\n  - 1\n  - 2\n  - foo\n")
     assert(y("xs").list.map(_.str) == Seq("1", "2", "foo"))
   }
 
   test("block list of maps") {
-    val y = MiniYaml.parse(
+    val y = Yaml.parse(
       """opts:
         |  - name: a
         |    lr: 0.1
@@ -61,56 +61,57 @@ class MiniYamlSpec extends AnyFunSuite {
   }
 
   test("literal block keeps lines and relative indentation") {
-    val y = MiniYaml.parse(
+    val y = Yaml.parse(
       """fn: |
         |  def f(x):
         |      return x
         |next: 1
         |""".stripMargin)
-    assert(y("fn").str == "def f(x):\n    return x")
+    // YAML's `|` keeps the block's final line break ("clip" chomping).
+    assert(y("fn").str == "def f(x):\n    return x\n")
     assert(y("next").int == 1)
   }
 
   test("comments are stripped outside quotes") {
-    val y = MiniYaml.parse("a: 1 # a comment\nb: \"keep # this\"\n# full line\nc: 2\n")
+    val y = Yaml.parse("a: 1 # a comment\nb: \"keep # this\"\n# full line\nc: 2\n")
     assert(y("a").int == 1)
     assert(y("b").str == "keep # this")
     assert(y("c").int == 2)
   }
 
   test("null variants") {
-    val y = MiniYaml.parse("a: null\nb: ~\nc:\n")
+    val y = Yaml.parse("a: null\nb: ~\nc:\n")
     assert(y("a") == YamlNull)
     assert(y("b") == YamlNull)
     assert(y("c") == YamlNull)
   }
 
   test("empty document parses to null") {
-    assert(MiniYaml.parse("") == YamlNull)
-    assert(MiniYaml.parse("\n  \n# only a comment\n") == YamlNull)
+    assert(Yaml.parse("") == YamlNull)
+    assert(Yaml.parse("\n  \n# only a comment\n") == YamlNull)
   }
 
   test("negative and scientific numbers") {
-    val y = MiniYaml.parse("a: -3\nb: 1e-4\nc: -2.5\n")
+    val y = Yaml.parse("a: -3\nb: 1e-4\nc: -2.5\n")
     assert(y("a").int == -3)
     assert(y("b").num == 1e-4)
     assert(y("c").num == -2.5)
   }
 
   test("bare strings with colons in urls are kept intact") {
-    val y = MiniYaml.parse("url: http://example.com/x\n")
+    val y = Yaml.parse("url: http://example.com/x\n")
     // "://"'s colon is not followed by a space, so it's part of the value.
     assert(y("url").str == "http://example.com/x")
   }
 
   test("get returns None for missing keys, apply throws") {
-    val y = MiniYaml.parse("a: 1\n")
+    val y = Yaml.parse("a: 1\n")
     assert(y.get("zzz").isEmpty)
     intercept[NoSuchElementException] { y("zzz") }
   }
 
   test("type accessors validate") {
-    val y = MiniYaml.parse("a: hello\nxs: [1]\n")
+    val y = Yaml.parse("a: hello\nxs: [1]\n")
     intercept[IllegalArgumentException] { y("a").bool }
     intercept[IllegalArgumentException] { y("a").list }
     intercept[IllegalArgumentException] { y("xs").str }
@@ -118,7 +119,7 @@ class MiniYamlSpec extends AnyFunSuite {
   }
 
   test("deeply nested structure") {
-    val y = MiniYaml.parse(
+    val y = Yaml.parse(
       """a:
         |  b:
         |    c:
@@ -130,7 +131,7 @@ class MiniYamlSpec extends AnyFunSuite {
   }
 
   test("the Figure 2 pipeline excerpt parses") {
-    val y = MiniYaml.parse(
+    val y = Yaml.parse(
       """model:
         |  id: ResNet18
         |  config:
@@ -161,5 +162,25 @@ class MiniYamlSpec extends AnyFunSuite {
     assert(y("training")("selection_strategy")("config")("storage_backend").str == "database")
     assert(!y("training")("selection_strategy")("config")("reset_after_trigger").bool)
     assert(y("data")("bytes_parser_function").str.startsWith("def bytes_parser_function"))
+  }
+
+  test("flow maps parse like block maps") {
+    val y = Yaml.parse("opt: { lr: 0.025, momentum: 0.9, name: \"x, y\" }\n")
+    assert(y("opt")("lr").num == 0.025 && y("opt")("momentum").num == 0.9)
+    assert(y("opt")("name").str == "x, y")
+  }
+
+  test("YAML 1.2 core-schema scalars") {
+    val y = Yaml.parse("a: yes\nb: on\nc: 010\nd: 2004-01-01\ne: FALSE\nf: 0.0001\n")
+    assert(y("a") == YamlStr("yes") && y("b") == YamlStr("on"))
+    assert(y("c").int == 10)
+    assert(y("d") == YamlStr("2004-01-01"))
+    assert(!y("e").bool)
+    assert(y("f").num == 1e-4)
+  }
+
+  test("syntax errors and non-finite numbers are refused") {
+    intercept[IllegalArgumentException](Yaml.parse("a: [1, 2\n"))
+    intercept[IllegalArgumentException](Yaml.parse("a: .inf\n"))
   }
 }
