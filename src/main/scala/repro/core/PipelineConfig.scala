@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.core.yaml.{Yaml, YamlValue}
+import repro.core.yaml.{Yaml, YamlMap, YamlValue}
 import repro.selector.DownsamplingConfig
 import repro.trainer.{OnlineDatasetConfig, SgdConfig}
 
@@ -40,10 +40,28 @@ object PipelineConfig {
 
   /** Parse and validate a pipeline YAML document. Unknown strategy / model
     * / trigger names fail later at instantiation, with their own errors;
-    * structural problems fail here with the offending key.
+    * structural problems fail here with the offending key. So does a key
+    * that no section reads, which would otherwise leave a misspelled
+    * setting at its default; `model.config`, `trigger_config` and the
+    * selection strategy's `config` belong to the named component and stay
+    * open.
     */
   def fromYaml(text: String): PipelineConfig = {
-    val y = Yaml.parse(text)
+    /** `v` itself, once every key of it (if it is a map) is in `known`. */
+    def checked(v: YamlValue, section: String, known: String*): YamlValue = {
+      v match {
+        case YamlMap(m) =>
+          val unknown = m.keySet -- known
+          if (unknown.nonEmpty) throw new IllegalArgumentException(
+            s"unknown key ${unknown.toSeq.sorted.map(k => s"'$k'").mkString(", ")} in $section" +
+              s" (known: ${known.mkString(", ")})")
+        case _ =>
+      }
+      v
+    }
+
+    val y = checked(Yaml.parse(text), "the top level",
+      "pipeline", "seed", "model", "data", "trigger", "training", "model_storage", "evaluation")
 
     def numMap(v: YamlValue): Map[String, Double] =
       v.map.collect { case (k, value) if value != repro.core.yaml.YamlNull => k -> value.num }
@@ -51,20 +69,27 @@ object PipelineConfig {
     def strMap(v: YamlValue): Map[String, String] =
       v.map.collect { case (k, value) if value != repro.core.yaml.YamlNull => k -> value.str }
 
-    val model    = y("model")
-    val data     = y("data")
-    val trigger  = y("trigger")
-    val training = y("training")
-    val sel      = training("selection_strategy")
+    val model    = checked(y("model"), "model", "id", "config")
+    val data     = checked(y("data"), "data", "dataset_id", "bytes_parser")
+    val trigger  = checked(y("trigger"), "trigger", "id", "trigger_config")
+    val training = checked(y("training"), "training", "use_previous_model", "batch_size", "epochs",
+      "dataloader_workers", "prefetched_partitions", "parallel_prefetch_requests", "storage_threads",
+      "partition_size", "optimizer", "selection_strategy")
+    val sel      = checked(training("selection_strategy"), "selection_strategy",
+      "name", "config", "downsampling_config")
 
-    val downsampling = sel.get("downsampling_config").map { d =>
+    val downsampling = sel.get("downsampling_config")
+      .map(checked(_, "downsampling_config", "name", "ratio", "sample_then_batch")).map { d =>
       DownsamplingConfig(
         name = d("name").str,
         ratio = d("ratio").num,
         sampleThenBatch = d.get("sample_then_batch").forall(_.bool))
     }
 
-    val optimizer = training.get("optimizer").getOrElse(yaml.YamlMap(Map.empty))
+    val optimizer = training.get("optimizer").map(checked(_, "optimizer", "lr", "momentum", "weight_decay"))
+      .getOrElse(YamlMap(Map.empty))
+    val modelStorage = y.get("model_storage").map(checked(_, "model_storage", "full_model_interval"))
+    val evaluation   = y.get("evaluation").map(checked(_, "evaluation", "metrics"))
 
     PipelineConfig(
       pipelineName = y.get("pipeline").map(_.str).getOrElse("unnamed"),
@@ -92,10 +117,8 @@ object PipelineConfig {
       selectionName = sel("name").str,
       selectionConfig = sel.get("config").map(strMap).getOrElse(Map.empty),
       downsampling = downsampling,
-      fullModelInterval =
-        y.get("model_storage").flatMap(_.get("full_model_interval")).map(_.int).getOrElse(1),
-      evalMetrics = y.get("evaluation").flatMap(_.get("metrics"))
-        .map(_.list.map(_.str)).getOrElse(Seq("Accuracy")),
+      fullModelInterval = modelStorage.flatMap(_.get("full_model_interval")).map(_.int).getOrElse(1),
+      evalMetrics = evaluation.flatMap(_.get("metrics")).map(_.list.map(_.str)).getOrElse(Seq("Accuracy")),
       seed = y.get("seed").map(_.long).getOrElse(0L))
   }
 }

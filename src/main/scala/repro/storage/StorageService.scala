@@ -1,7 +1,5 @@
 package repro.storage
 
-import java.util.concurrent.{ArrayBlockingQueue, TimeUnit}
-import java.util.concurrent.atomic.AtomicReference
 import repro.util.Parallel
 import scala.collection.immutable.ArraySeq
 
@@ -15,14 +13,14 @@ final case class PayloadBatch(keys: Array[Long], payloads: Array[Array[Byte]], l
 
 /** Sample-level payload retrieval (§4.2.3).
   *
-  * Given an arbitrary set of sample keys, the service partitions the key
-  * list into `nThreads` equal parts; each thread resolves its keys to
-  * (file, offset) via the registry's key index (sorted by file), instantiates
-  * a [[FileWrapper]] per file, extracts the requested samples into a send
-  * buffer, and emits the buffer whenever it is full or all files have been
-  * iterated. Emitted buffers stream through a bounded queue so consumers
-  * start processing before the whole request completes — the behaviour that
-  * hides partition-size latency differences in §5.1.1.
+  * Given an arbitrary set of sample keys, the service splits the key list
+  * into `nThreads` contiguous parts; each retrieval task resolves its keys
+  * to (file, offset) via the registry's key index (sorted by file),
+  * instantiates a [[FileWrapper]] per file, and extracts the requested
+  * samples into send buffers of `sendBufferSize` samples. Buffers stream
+  * to the consumer as they fill, so it starts processing before the whole
+  * request completes — the behaviour that hides partition-size latency
+  * differences in §5.1.1.
   *
   * @param sendBufferSize samples per emitted [[PayloadBatch]]
   */
@@ -30,55 +28,18 @@ final class StorageService(registry: SampleRegistry, fs: FileSystemWrapper,
                            val sendBufferSize: Int = 4096) {
   require(sendBufferSize > 0, "sendBufferSize must be positive")
 
-  /** Stream the payloads for `keys` using `nThreads` retrieval threads.
-    * Batches arrive in completion order across threads; within a thread,
-    * file order. The iterator must be fully consumed (or the underlying
-    * threads leak); all internal errors are rethrown on the consumer side.
+  /** Stream the payloads for `keys` using `nThreads` retrieval tasks. The
+    * batches come part by part, in the order of the key split, and within
+    * a part in file order, so the sequence is the same on every call.
+    * One part is read on the caller's thread as it iterates. Errors are
+    * rethrown on the consumer side, and an abandoned iterator leaves no
+    * task blocked: each finishes its part and stops.
     */
   def retrieve(keys: Array[Long], nThreads: Int): Iterator[PayloadBatch] = {
     require(nThreads > 0, "nThreads must be positive")
-    if (keys.isEmpty) return Iterator.empty
-
-    val queue   = new ArrayBlockingQueue[AnyRef](math.max(8, nThreads * 2))
-    val failure = new AtomicReference[Throwable](null)
-    val parts   = splitEven(keys, nThreads)
-    val active  = parts.count(_.nonEmpty)
-    val Done    = new Object
-
-    parts.filter(_.nonEmpty).foreach { part =>
-      Parallel.fork("storage-retrieval") {
-        try retrievePart(part, queue.put(_))
-        catch {
-          case e: Throwable => failure.compareAndSet(null, e)
-        } finally queue.put(Done)
-      }
-    }
-
-    new Iterator[PayloadBatch] {
-      private var remaining = active
-      private var nextBatch: PayloadBatch = _
-
-      private def advance(): Unit = {
-        nextBatch = null
-        while (nextBatch == null && remaining > 0) {
-          queue.poll(600, TimeUnit.SECONDS) match {
-            case null       => throw new IllegalStateException("storage retrieval timed out")
-            case Done       => remaining -= 1
-            case b: PayloadBatch => nextBatch = b
-            case other      => throw new IllegalStateException(s"unexpected $other")
-          }
-        }
-        if (nextBatch == null && failure.get() != null) throw failure.get()
-      }
-
-      advance()
-      override def hasNext: Boolean = nextBatch != null
-      override def next(): PayloadBatch = {
-        val b = nextBatch; advance()
-        if (failure.get() != null) throw failure.get()
-        b
-      }
-    }
+    val parts = keys.grouped(math.max(1, (keys.length + nThreads - 1) / nThreads)).toIndexedSeq
+    if (parts.size <= 1) parts.iterator.flatMap(retrievePart)
+    else Parallel.ordered("storage-retrieval", parts.size, parts.size, parts.size)(p => retrievePart(parts(p)))
   }
 
   /** Convenience: retrieve and concatenate everything (tests, small sets). */
@@ -108,54 +69,48 @@ final class StorageService(registry: SampleRegistry, fs: FileSystemWrapper,
     metas
   }
 
-  /** One retrieval thread's work: key-index lookup, then file-by-file
-    * extraction into send buffers.
+  /** One retrieval task's part: a key-index lookup, then send buffers
+    * filled file by file as the iterator is read.
     */
-  private def retrievePart(part: Array[Long], emit: PayloadBatch => Unit): Unit = {
-    val metas = lookupAll(part)
-    val bufKeys     = new Array[Long](sendBufferSize)
-    val bufPayloads = new Array[Array[Byte]](sendBufferSize)
-    val bufLabels   = new Array[Long](sendBufferSize)
-    var fill        = 0
+  private def retrievePart(part: Array[Long]): Iterator[PayloadBatch] = new Iterator[PayloadBatch] {
+    private val metas = lookupAll(part)
+    private var i     = 0 // next row of metas to copy
+    // The samples of the file being copied; payloads(0) belongs to metas(runStart).
+    private var runStart = 0
+    private var payloads = Array.empty[Array[Byte]]
 
-    def flush(): Unit = if (fill > 0) {
-      emit(PayloadBatch(
-        java.util.Arrays.copyOf(bufKeys, fill),
-        java.util.Arrays.copyOf(bufPayloads, fill),
-        java.util.Arrays.copyOf(bufLabels, fill)))
-      fill = 0
+    override def hasNext: Boolean = i < metas.length
+    override def next(): PayloadBatch = {
+      val size   = math.min(sendBufferSize, metas.length - i)
+      val keys   = new Array[Long](size)
+      val bytes  = new Array[Array[Byte]](size)
+      val labels = new Array[Long](size)
+      var fill = 0
+      while (fill < size) {
+        if (i - runStart == payloads.length) readRun()
+        keys(fill) = metas(i).key
+        bytes(fill) = payloads(i - runStart)
+        labels(fill) = metas(i).label
+        fill += 1
+        i += 1
+      }
+      PayloadBatch(keys, bytes, labels)
     }
 
-    var i = 0
-    while (i < metas.length) {
-      // metas is sorted by (file, idx): take the run belonging to one file,
-      // read it with one getSamples call and copy it into the send buffer.
+    /** metas is sorted by (file, idx): read the run of rows from the file
+      * of metas(i) with one getSamples call.
+      */
+    private def readRun(): Unit = {
       val fileId = metas(i).fileId
       var j = i
       while (j < metas.length && metas(j).fileId == fileId) j += 1
       val indices = new Array[Int](j - i)
       var r = 0
       while (r < indices.length) { indices(r) = metas(i + r).indexInFile; r += 1 }
-      val fm       = registry.fileMeta(fileId)
-      val wrapper  = FileWrapperType.instantiate(fm.wrapperType, fs, fm.path)
-      val payloads = wrapper.getSamples(ArraySeq.unsafeWrapArray(indices))
-      r = 0
-      while (r < payloads.length) {
-        val m = metas(i + r)
-        bufKeys(fill) = m.key
-        bufPayloads(fill) = payloads(r)
-        bufLabels(fill) = m.label
-        fill += 1
-        if (fill == sendBufferSize) flush()
-        r += 1
-      }
-      i = j
+      val fm = registry.fileMeta(fileId)
+      runStart = i
+      payloads = FileWrapperType.instantiate(fm.wrapperType, fs, fm.path)
+        .getSamples(ArraySeq.unsafeWrapArray(indices))
     }
-    flush()
-  }
-
-  private def splitEven(keys: Array[Long], n: Int): Seq[Array[Long]] = {
-    val per = (keys.length + n - 1) / n
-    keys.grouped(math.max(1, per)).toSeq.padTo(n, Array.empty[Long])
   }
 }

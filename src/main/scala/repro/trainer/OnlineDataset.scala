@@ -1,7 +1,5 @@
 package repro.trainer
 
-import java.util.concurrent.{LinkedBlockingQueue, Semaphore}
-import java.util.concurrent.atomic.AtomicInteger
 import repro.selector.TriggerTrainingSet
 import repro.storage.{PayloadBatch, StorageService}
 import repro.util.Parallel
@@ -74,14 +72,18 @@ final class InMemorySource(keys: Array[Long], weights: Array[Double],
   * batches to the training loop — which stays unaware of the machinery.
   *
   * Structure (Fig. 5): each of `numWorkers` workers owns an equal share of
-  * every partition. A worker spawns `parallelPrefetchRequests` prefetch
-  * threads that acquire one of `prefetchedPartitions` buffer slots, read
-  * the worker's key share (TSS), and stream the payloads from storage
-  * (with `storageThreads` retrieval threads) into the slot *chunk by
-  * chunk*; the worker's main thread consumes partitions in order but
-  * starts parsing as soon as the first chunk arrives, so batch latency
-  * does not depend on partition size. The worker threads, their queues
-  * and the round-robin batch assembly are the shared [[Loader]]'s.
+  * every partition. A worker runs `parallelPrefetchRequests` prefetch
+  * tasks that take one of `prefetchedPartitions` buffer slots, read the
+  * worker's key share (TSS), and stream the payloads from storage (with
+  * `storageThreads` retrieval tasks) into the slot *chunk by chunk*; the
+  * worker's main thread consumes partitions in order but starts parsing
+  * as soon as the first chunk arrives, so batch latency does not depend
+  * on partition size. Partitions, and the storage parts within each, are
+  * consumed in a fixed order, so a run repeats exactly: the batch
+  * sequence depends on the worker and storage-thread counts, which cut
+  * the partitions, and not on timing or the prefetch settings. The
+  * worker threads, their queues and the round-robin batch assembly are
+  * the shared [[Loader]]'s.
   */
 final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
                           parser: BytesParser, transform: Transform,
@@ -92,7 +94,6 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
     * prefetch threads.
     */
   private final case class RawChunk(chunk: PayloadBatch, weightOf: mutable.LongMap[Double])
-  private object PartitionDone
 
   /** Samples per parsed chunk: `sendBufferSize`, or fewer when a retrieval
     * thread's part of a worker share is smaller.
@@ -126,49 +127,13 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
         p += 1
       }
     } else {
-      val chunkQueues = IndexedSeq.fill(nParts)(new LinkedBlockingQueue[AnyRef]())
-      val permits     = new Semaphore(cfg.prefetchedPartitions)
-      val nextPart    = new AtomicInteger(0)
-      (0 until cfg.parallelPrefetchRequests).foreach { pf =>
-        Parallel.fork(s"prefetch-$workerId-$pf") {
-          try {
-            var running = true
-            while (running && !out.failed) {
-              permits.acquire()
-              val p = nextPart.getAndIncrement()
-              if (p >= nParts) { permits.release(); running = false }
-              else {
-                // Prefetch threads move raw bytes only; parsing stays on
-                // the worker's main thread (§4.2.1). Chunks stream into
-                // the buffer as they arrive so consumption can start
-                // before the partition finishes transferring.
-                fetchChunks(workerId, p).foreach(chunkQueues(p).put(_))
-                chunkQueues(p).put(PartitionDone)
-              }
-            }
-          } catch {
-            case e: Throwable =>
-              // Record the failure before any PartitionDone: the worker
-              // may otherwise finish its last partition and stop cleanly.
-              out.fail(e)
-              // Unblock the consumer on every not-yet-finished partition.
-              chunkQueues.foreach(_.put(PartitionDone))
-          }
-        }
-      }
-      var p = 0
-      while (p < nParts && !out.failed) {
-        var done = false
-        while (!done) {
-          chunkQueues(p).take() match {
-            case PartitionDone => done = true
-            case r: RawChunk   => out.put(parse(r))
-            case other         => throw new IllegalStateException(s"unexpected $other")
-          }
-        }
-        permits.release() // partition consumed: free its buffer slot
-        p += 1
-      }
+      // Prefetch tasks move raw bytes only; parsing stays on the worker's
+      // main thread (§4.2.1). A partition's chunks stream into its buffer
+      // slot as they arrive, so consumption starts before it is complete.
+      val chunks = Parallel.ordered(s"prefetch-$workerId", nParts, cfg.parallelPrefetchRequests,
+        cfg.prefetchedPartitions)(fetchChunks(workerId, _))
+      try while (!out.failed && chunks.hasNext) out.put(parse(chunks.next()))
+      finally chunks.close()
     }
   }
 

@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.TestUtil.withTmpDir
 import repro.selector.DownsamplingConfig
 
 class AccuracyExperimentSpec extends AnyFunSuite {
@@ -25,5 +26,21 @@ class AccuracyExperimentSpec extends AnyFunSuite {
     assert(ps("gradnorm50").selectionName == "CoresetStrategy")
     assert(ps("gradnorm50").selectionConfig == common + ("presampling" -> "NewDataStrategy"))
     assert(ps("gradnorm50").downsampling.contains(DownsamplingConfig("GradNormCE", 0.5, sampleThenBatch = true)))
+  }
+
+  test("the gradnorm50 pipeline gives the same report on every run") {
+    withTmpDir { dir =>
+      val registry = AccuracyExperiment.generateCorpus(dir, samplesPerYear = 300, numClasses = 8,
+        featureDim = 16)
+      // It trains with 2 storage threads, 4 workers and 2 prefetched partitions.
+      val outcomes = (0 until 4).map { i =>
+        val report = AccuracyExperiment.run("gradnorm50", registry, s"$dir/run$i", 8, 16)
+        (report.accuracyMatrix,
+          report.triggers.map(t => (t.triggerId, t.training.meanLoss, t.training.samplesTrainedOn)))
+      }
+      assert(outcomes.head._2.size == 11)
+      assert(outcomes.distinct.size == 1, outcomes.map(_._2.map(_._2)).mkString("\n"))
+      registry.close()
+    }
   }
 }

@@ -209,4 +209,19 @@ class PipelineConfigSpec extends AnyFunSuite {
     }
     assert(e.getMessage.contains("duplicate key batch_size"))
   }
+
+  test("a key that no section reads is refused, naming the key and its section") {
+    def refused(yaml: String): String = intercept[IllegalArgumentException](PipelineConfig.fromYaml(yaml)).getMessage
+    assert(refused(full.replace("dataloader_workers: 4", "dataloader_worker: 4\n  epoch: 9"))
+      .contains("'dataloader_worker', 'epoch' in training"))
+    assert(refused(full.replace("    lr: 0.025", "    learning_rate: 0.025")).contains("'learning_rate' in optimizer"))
+    assert(refused(full.replace("  full_model_interval: 5", "  full_model_intervals: 5"))
+      .contains("'full_model_intervals' in model_storage"))
+    assert(refused(full + "sed: 3\n").contains("'sed' in the top level"))
+    // The configs of the model, the trigger and the strategy stay open.
+    val p = PipelineConfig.fromYaml(full.replace("    feature_dim: 64", "    feature_dim: 64\n    depth: 3")
+      .replace("    every_seconds: 31536000", "    every_seconds: 31536000\n    offset: 1")
+      .replace("      reset_after_trigger: True", "      reset_after_trigger: True\n      extra: x"))
+    assert(p.modelConfig("depth") == 3.0 && p.triggerConfig("offset") == 1.0 && p.selectionConfig("extra") == "x")
+  }
 }

@@ -115,14 +115,18 @@ class StorageServiceSpec extends AnyFunSuite {
   test("duplicate retrievals are deterministic in content") {
     withTmpDir { dir =>
       val (r, metas) = setup(dir, 3, 30)
-      val svc  = new StorageService(r, fs)
+      val svc  = new StorageService(r, fs, sendBufferSize = 16)
       val keys = metas.map(_.key).toArray
-      val a = svc.retrieveAll(keys, 2)
-      val b = svc.retrieveAll(keys, 2)
-      assert(a.keys.sorted.toSeq == b.keys.sorted.toSeq)
-      val mapA = a.keys.zip(a.labels).toMap
-      val mapB = b.keys.zip(b.labels).toMap
-      assert(mapA == mapB)
+      def sequence(n: Int): Seq[(Seq[Long], Seq[Long], Seq[Seq[Byte]])] =
+        svc.retrieve(keys, n).map(b => (b.keys.toSeq, b.labels.toSeq, b.payloads.toSeq.map(_.toSeq))).toSeq
+      for (n <- Seq(1, 2, 8)) {
+        val first = sequence(n)
+        // Parts of ceil(90 / n) keys in split order, each in file order and
+        // cut into send buffers of 16.
+        val per = (keys.length + n - 1) / n
+        assert(first.map(_._1) == keys.toSeq.grouped(per).flatMap(_.grouped(16)).toSeq, s"nThreads=$n")
+        (0 until 3).foreach(_ => assert(sequence(n) == first, s"nThreads=$n"))
+      }
       r.close()
     }
   }

@@ -1,5 +1,6 @@
 package repro.trainer
 
+import java.util.concurrent.atomic.AtomicInteger
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil.withTmpDir
 import repro.datagen.CriteoLite
@@ -7,6 +8,7 @@ import repro.selector.{SelectedSample, TriggerSampleStorage, TriggerTrainingSet}
 import repro.storage.{LocalFileSystemWrapper, SampleRegistry, StorageService}
 import repro.util.Rng
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 class OnlineDatasetSpec extends AnyFunSuite {
   private val fs = new LocalFileSystemWrapper
@@ -136,7 +138,7 @@ class OnlineDatasetSpec extends AnyFunSuite {
     }
   }
 
-  test("one storage thread gives the round-robin batch sequence of the TSS shares") {
+  test("any storage-thread count gives the round-robin batch sequence of the TSS shares") {
     withTmpDir { dir =>
       val (r, storage, _) = setup(dir, 300, partitionSize = 300)
       // Shuffled selection: storage returns each share in file order, which
@@ -154,12 +156,17 @@ class OnlineDatasetSpec extends AnyFunSuite {
         batch    <- Seq(7, 32, 64)
         prefetch <- Seq(0, 1, 2)
         parallel <- Seq(1, 2)
+        threads  <- Seq(1, 2, 3)
       } {
-        // Each worker streams its share of every partition in key order;
-        // batches are taken from the workers in turn, and a worker leaves
-        // the rotation once it yields fewer than `batch` samples.
+        // Each worker streams its share of every partition, split into
+        // `threads` contiguous parts of ceil(len / threads) keys, each part
+        // in key order; batches are taken from the workers in turn, and a
+        // worker leaves the rotation once it yields fewer than `batch` samples.
         val streams = (0 until workers).map { w =>
-          parts.indices.flatMap(p => tss.readWorkerShare(0, p, w, workers).sortBy(_.key))
+          parts.indices.flatMap { p =>
+            val share = tss.readWorkerShare(0, p, w, workers)
+            share.grouped(math.max(1, (share.size + threads - 1) / threads)).flatMap(_.sortBy(_.key))
+          }
         }
         val pos      = Array.fill(workers)(0)
         val rotation = mutable.Queue(0 until workers: _*)
@@ -172,10 +179,10 @@ class OnlineDatasetSpec extends AnyFunSuite {
           if (b.nonEmpty) expected += b
         }
         val ds = new OnlineDataset(new TssSource(tts), storage, new CriteoBytesParser(16),
-          IdentityTransform, cfg(workers, prefetch, parallel, storageThreads = 1, batch = batch))
+          IdentityTransform, cfg(workers, prefetch, parallel, threads, batch))
         val batches = ds.batches().toSeq
         val got     = batches.map(b => b.keys.toSeq.zip(b.weights.toSeq).map(SelectedSample.tupled))
-        val where   = s"workers=$workers batch=$batch prefetch=$prefetch parallel=$parallel"
+        val where   = s"workers=$workers batch=$batch prefetch=$prefetch parallel=$parallel threads=$threads"
         assert(got == expected.toSeq, where)
         // Features, labels and the weights trained on them are bit-identical
         // to the ByteBuffer/StrictMath parse of the expected batches.
@@ -239,6 +246,28 @@ class OnlineDatasetSpec extends AnyFunSuite {
           IdentityTransform, cfg(1, prefetch = 1))
         intercept[IllegalStateException] { ds.batches().toSeq }
       }
+      r.close()
+    }
+  }
+
+  test("a failing epoch leaves no data-path task running") {
+    withTmpDir { dir =>
+      val (r, storage, tts) = setup(dir, 200, partitionSize = 20)
+      val calls  = new AtomicInteger
+      val parser = new BytesParser {
+        private val inner = new CriteoBytesParser(16)
+        override def dim: Int = inner.dim
+        override def parse(payload: Array[Byte]): Array[Float] =
+          if (calls.incrementAndGet() == 61) throw new IllegalStateException("parse failed")
+          else inner.parse(payload)
+      }
+      val ds = new OnlineDataset(new TssSource(tts), storage, parser, IdentityTransform,
+        cfg(2, prefetch = 1, parallel = 1, storageThreads = 2))
+      intercept[IllegalStateException] { ds.batches().toSeq }
+      Thread.sleep(500)
+      val left = Thread.getAllStackTraces.keySet.asScala.map(_.getName)
+        .filter(n => Seq("prefetch-", "storage-", "loader-").exists(n.startsWith))
+      assert(left.isEmpty, s"still running: $left")
       r.close()
     }
   }
