@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.selector.{DuckDbBackend, LocalBinaryBackend, SeenSample}
+import repro.selector.{DuckDbBackend, LocalBinaryBackend}
+import repro.storage.SampleColumns
 import repro.trainer._
 
 /** Generates the reproduction's evaluation tables (T1–T3, T6). Each method
@@ -146,18 +147,20 @@ object Tables {
     * (Postgres in the paper, ~100 k ins/s) vs the binary local backend.
     */
   def t6(dir: String, numSamples: Int = 400000, batchSize: Int = 20000): (String, T6Results) = {
-    val samples = (0 until numSamples).map(i =>
-      SeenSample(i.toLong, (i % 1000).toLong, i.toLong, i / 100000))
+    val keys    = Array.tabulate(numSamples)(_.toLong)
+    val samples = SampleColumns(keys, keys.map(_ % 1000), keys)
     val sb = new StringBuilder
     sb ++= "== T6 (§4.1.2): selector metadata backend insertion throughput ==\n"
     sb ++= f"${"backend"}%10s ${"insertions/s"}%14s\n"
     val backends = Seq(
       "database" -> (() => new DuckDbBackend),
-      "local"    -> (() => new LocalBinaryBackend(Harness.fs, s"$dir/local_${System.nanoTime()}", numThreads = 4)))
+      "local"    -> (() => new LocalBinaryBackend(Harness.fs, s"$dir/local_${System.nanoTime()}")))
     val results = backends.map { case (name, mk) =>
       val b = mk()
       val start = System.nanoTime()
-      samples.grouped(batchSize).foreach(b.persist)
+      (0 until numSamples by batchSize).foreach { from =>
+        b.persist(from / 100000, samples.slice(from, math.min(numSamples, from + batchSize)))
+      }
       val rate = numSamples.toDouble / ((System.nanoTime() - start) / 1e9)
       b.close()
       sb ++= f"$name%10s $rate%14.0f\n"

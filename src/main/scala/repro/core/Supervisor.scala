@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core.triggers.Trigger
 import repro.evaluator.{EvalBlock, EvalResult, Evaluator}
 import repro.modelstorage.ModelStorage
-import repro.selector.{NewSample, SelectorContext, StrategyFactory, TriggerSampleStorage}
+import repro.selector.{SelectorContext, StrategyFactory, TriggerSampleStorage}
 import repro.storage.{FileSystemWrapper, SampleMeta, SampleRegistry, StorageService}
 import repro.trainer._
 
@@ -156,18 +156,18 @@ final class Supervisor private[core] (pipeline: PipelineConfig, registry: Sample
       trained += 1
     }
 
-    registry.allSamplesByTime().grouped(replayBatchSize).foreach { batch =>
-      val newSamples  = batch.map(m => NewSample(m.key, m.label, m.timestampSec))
-      val triggerIdxs = triggerPolicy.inform(newSamples)
+    val replay = registry.samplesByTime()
+    (0 until replay.size by replayBatchSize).foreach { start =>
+      val batch = replay.slice(start, math.min(replay.size, start + replayBatchSize))
       // §3.1: the trigger training set includes samples up to and
       // *including* the trigger-causing sample.
       var consumed = 0
-      triggerIdxs.foreach { idx =>
-        strategy.inform(newSamples.slice(consumed, idx + 1))
+      triggerPolicy.inform(batch).foreach { idx =>
+        strategy.inform(batch.slice(consumed, idx + 1))
         consumed = idx + 1
         fireTrigger()
       }
-      if (consumed < newSamples.length) strategy.inform(newSamples.drop(consumed))
+      if (consumed < batch.size) strategy.inform(batch.slice(consumed, batch.size))
     }
     if (trailingTrigger) fireTrigger()
 

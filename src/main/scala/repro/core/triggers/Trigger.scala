@@ -1,14 +1,22 @@
 package repro.core.triggers
 
 import repro.selector.NewSample
+import repro.storage.SampleColumns
+import scala.collection.immutable.ArraySeq
 
 /** A triggering policy (§3.1, §4.1.1): informed of each arriving batch
   * S_t, it returns the ordered list of indices i whose sample s_i causes a
   * new training run. Policies are stateful and may use the entire history.
   */
 trait Trigger {
-  /** Indices (0-based, ascending) within `samples` that cause a trigger. */
-  def inform(samples: Seq[NewSample]): Seq[Int]
+  /** Indices (0-based within the batch, ascending) of the rows of `batch`
+    * that cause a trigger.
+    */
+  def inform(batch: SampleColumns): Array[Int]
+
+  /** Row form of [[inform]]. */
+  final def inform(samples: Seq[NewSample]): Seq[Int] =
+    ArraySeq.unsafeWrapArray(inform(NewSample.columns(samples)))
 }
 
 /** Amount-based triggering: fire on every `dataPointsForTrigger`-th data
@@ -18,14 +26,16 @@ final class DataAmountTrigger(dataPointsForTrigger: Int) extends Trigger {
   require(dataPointsForTrigger > 0, "data_points_for_trigger must be positive")
   private var seenSinceTrigger = 0
 
-  override def inform(samples: Seq[NewSample]): Seq[Int] = {
-    val out = Seq.newBuilder[Int]
-    samples.zipWithIndex.foreach { case (_, i) =>
+  override def inform(batch: SampleColumns): Array[Int] = {
+    val out = Array.newBuilder[Int]
+    var i = 0
+    while (i < batch.size) {
       seenSinceTrigger += 1
       if (seenSinceTrigger == dataPointsForTrigger) {
         out += i
         seenSinceTrigger = 0
       }
+      i += 1
     }
     out.result()
   }
@@ -39,20 +49,23 @@ final class DataAmountTrigger(dataPointsForTrigger: Int) extends Trigger {
   */
 final class TimePeriodTrigger(intervalSec: Long) extends Trigger {
   require(intervalSec > 0, "interval must be positive")
-  private var nextBoundary: Option[Long] = None
+  private var anchored     = false
+  private var nextBoundary = 0L
 
-  override def inform(samples: Seq[NewSample]): Seq[Int] = {
-    val out = Seq.newBuilder[Int]
-    samples.zipWithIndex.foreach { case (s, i) =>
-      nextBoundary match {
-        case None => nextBoundary = Some(s.timestampSec + intervalSec)
-        case Some(b) if s.timestampSec >= b =>
-          out += i
-          // Skip boundaries with no data; stay on the fixed grid.
-          val periods = (s.timestampSec - b) / intervalSec + 1
-          nextBoundary = Some(b + periods * intervalSec)
-        case _ => ()
+  override def inform(batch: SampleColumns): Array[Int] = {
+    val out = Array.newBuilder[Int]
+    var i = 0
+    while (i < batch.size) {
+      val ts = batch.ts(batch.from + i)
+      if (!anchored) {
+        anchored = true
+        nextBoundary = ts + intervalSec
+      } else if (ts >= nextBoundary) {
+        out += i
+        // Skip boundaries with no data; stay on the fixed grid.
+        nextBoundary += ((ts - nextBoundary) / intervalSec + 1) * intervalSec
       }
+      i += 1
     }
     out.result()
   }

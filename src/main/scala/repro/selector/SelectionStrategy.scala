@@ -1,13 +1,24 @@
 package repro.selector
 
 import org.apache.spark.sql.SparkSession
-import repro.util.Rng
+import repro.storage.SampleColumns
+import repro.util.{LongSort, Rng}
 import scala.annotation.nowarn
 
 /** A newly arrived sample, before the selector tags it with the trigger it
   * belongs to.
   */
 final case class NewSample(key: Long, label: Long, timestampSec: Long)
+
+object NewSample {
+  /** `samples` as columns, for the row forms of the columnar calls. */
+  def columns(samples: Seq[NewSample]): SampleColumns = {
+    val (keys, labels, ts) = (new Array[Long](samples.size), new Array[Long](samples.size), new Array[Long](samples.size))
+    var i = 0
+    samples.foreach { s => keys(i) = s.key; labels(i) = s.label; ts(i) = s.timestampSec; i += 1 }
+    SampleColumns(keys, labels, ts)
+  }
+}
 
 /** How the trainer should downsample the presampled trigger training set
   * (§4.1.2): which policy, the kept fraction, and whether it runs
@@ -36,7 +47,10 @@ final case class SelectorContext(backend: MetadataBackend, tss: TriggerSampleSto
   */
 trait SelectionStrategy {
   /** Update policy state with newly arrived samples. */
-  def inform(samples: Seq[NewSample]): Unit
+  def inform(batch: SampleColumns): Unit
+
+  /** Row form of [[inform]]. */
+  final def inform(samples: Seq[NewSample]): Unit = inform(NewSample.columns(samples))
 
   /** Select D_x for the next trigger, persist it via the TSS, advance the
     * internal trigger counter, and (if configured) reset state.
@@ -56,11 +70,12 @@ trait SelectionStrategy {
   def seekTrigger(triggerId: Int): Unit
 }
 
-/** Shared plumbing for offline presampling strategies: informed samples are
+/** Shared plumbing for presampling strategies: informed samples are
   * persisted to the metadata backend tagged with the in-progress trigger;
-  * on trigger the concrete policy selects from the backend state, the
+  * on trigger the concrete policy picks rows of its candidate pool, the
   * selection is cut into fixed-size partitions and persisted through the
-  * TSS, and the state is optionally reset (§4.1.2, Fig. 3).
+  * TSS, and the state is optionally reset (§4.1.2, Fig. 3). The pool and
+  * the selection stay primitive columns throughout.
   *
   * @param limit optional cap on the number of selected samples
   */
@@ -74,20 +89,27 @@ abstract class AbstractSelectionStrategy(protected val ctx: SelectorContext,
 
   override def seekTrigger(triggerId: Int): Unit = { currentTrigger = triggerId }
 
-  override def inform(samples: Seq[NewSample]): Unit =
-    ctx.backend.persist(samples.map(s => SeenSample(s.key, s.label, s.timestampSec, currentTrigger)))
+  override def inform(batch: SampleColumns): Unit = ctx.backend.persist(currentTrigger, batch)
 
-  /** The policy proper: pick keys+weights for trigger `triggerId` from the
-    * backend state. Because state is reset after each trigger when
-    * `resetAfterTrigger` is set, `ctx.backend.scanAll()` always yields
-    * exactly the policy's candidate pool.
+  /** The candidate pool, in key order. Because state is reset after each
+    * trigger when `resetAfterTrigger` is set, the backend's rows are
+    * exactly the policy's pool.
     */
-  protected def select(triggerId: Int): IndexedSeq[SelectedSample]
+  protected def candidates(): SeenColumns = ctx.backend.scan()
+
+  /** The policy proper: the rows of `pool` to train on for trigger
+    * `triggerId`, in training order.
+    */
+  protected def select(pool: SeenColumns, triggerId: Int): Array[Int]
 
   override def onTrigger(): TriggerTrainingSet = {
-    val t        = currentTrigger
-    val selected = limit.fold(select(t))(l => select(t).take(l))
-    val tts      = persistSelection(t, selected)
+    val t    = currentTrigger
+    val pool = candidates()
+    val rows = select(pool, t)
+    val keys = new Array[Long](limit.fold(rows.length)(math.min(_, rows.length)))
+    var i = 0
+    while (i < keys.length) { keys(i) = pool.keys(rows(i)); i += 1 }
+    val tts = persistSelection(t, keys)
     if (resetAfterTrigger) resetState()
     currentTrigger += 1
     tts
@@ -96,21 +118,33 @@ abstract class AbstractSelectionStrategy(protected val ctx: SelectorContext,
   /** Reset policy state after a trigger; default clears the backend. */
   protected def resetState(): Unit = ctx.backend.reset()
 
-  /** Cut `selected` into fixed-size partitions and persist each through the
-    * TSS with 4 writer threads per partition (§4.2.2).
+  /** Cut the selected `keys` into fixed-size partitions and persist each,
+    * every key with weight 1, through the TSS with 4 writer threads per
+    * partition (§4.2.2).
     */
-  protected final def persistSelection(triggerId: Int,
-                                       selected: IndexedSeq[SelectedSample]): TriggerTrainingSet = {
-    val parts = selected.grouped(ctx.partitionSize).toIndexedSeq
-    parts.zipWithIndex.foreach { case (p, i) =>
-      ctx.tss.writePartition(triggerId, i, p, numThreads = 4)
+  private def persistSelection(triggerId: Int, keys: Array[Long]): TriggerTrainingSet = {
+    val weights = new Array[Double](keys.length)
+    java.util.Arrays.fill(weights, 1.0)
+    val parts   = (keys.length + ctx.partitionSize - 1) / ctx.partitionSize
+    (0 until parts).foreach { p =>
+      ctx.tss.writePartition(triggerId, p, keys, weights, p * ctx.partitionSize,
+        math.min(keys.length, (p + 1) * ctx.partitionSize), numThreads = 4)
     }
-    TriggerTrainingSet(triggerId, parts.length, selected.length.toLong, ctx.tss)
+    TriggerTrainingSet(triggerId, parts, keys.length.toLong, ctx.tss)
   }
 
-  /** Deterministic per-(key, trigger) ordering hash used by sampling
-    * policies, so runs are reproducible.
+  /** `rows` of `pool` ordered by a deterministic per-(key, trigger) hash,
+    * then key, so that sampling runs are reproducible. The pool is in key
+    * order, so a stable sort by hash gives the (hash, key) order.
     */
-  protected final def orderHash(key: Long, triggerId: Int): Long =
-    Rng.mix2(key, ctx.seed ^ (triggerId.toLong * 0x9E3779B97F4A7C15L))
+  protected final def hashOrder(pool: SeenColumns, rows: Array[Int], triggerId: Int): Array[Int] = {
+    val salt = ctx.seed ^ (triggerId.toLong * 0x9E3779B97F4A7C15L)
+    val hash = new Array[Long](rows.length)
+    var i = 0
+    while (i < rows.length) { hash(i) = Rng.mix2(pool.keys(rows(i)), salt); i += 1 }
+    val order = LongSort.order(hash, rows.length)
+    i = 0
+    while (i < order.length) { order(i) = rows(order(i)); i += 1 }
+    order
+  }
 }

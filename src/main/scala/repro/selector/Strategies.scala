@@ -1,6 +1,7 @@
 package repro.selector
 
-import repro.util.Rng
+import repro.storage.SampleColumns
+import repro.util.{LongSort, Rng}
 import scala.collection.mutable
 
 /** Train on all (new) data — the paper's `NewDataStrategy`, whose policy
@@ -13,8 +14,8 @@ final class NewDataStrategy(ctx: SelectorContext, resetAfterTrigger: Boolean,
                             limit: Option[Int] = None)
     extends AbstractSelectionStrategy(ctx, resetAfterTrigger, limit) {
 
-  override protected def select(triggerId: Int): IndexedSeq[SelectedSample] =
-    ctx.backend.scanAll().map(s => SelectedSample(s.key, 1.0))
+  override protected def select(pool: SeenColumns, triggerId: Int): Array[Int] =
+    Array.range(0, pool.size)
 }
 
 /** Uniform random presampling (§5.2, pipeline 2): keep a `fraction` (or at
@@ -33,35 +34,42 @@ final class UniformRandomStrategy(ctx: SelectorContext, resetAfterTrigger: Boole
     math.min(byFraction, maxSamples.map(_.toLong).getOrElse(Long.MaxValue)).toInt
   }
 
-  override protected def select(triggerId: Int): IndexedSeq[SelectedSample] = {
-    val pool = ctx.backend.scanAll()
-    pool.sortBy(s => (orderHash(s.key, triggerId), s.key))
-      .take(targetCount(pool.length))
-      .map(s => SelectedSample(s.key, 1.0))
-  }
+  override protected def select(pool: SeenColumns, triggerId: Int): Array[Int] =
+    hashOrder(pool, Array.range(0, pool.size), triggerId).take(targetCount(pool.size))
 }
 
 /** Balanced presampling over some column (§4.1.2): the developer "inherits
   * from the AbstractBalancedStrategy and specifies the column to balance
   * on". Each group contributes an equal quota — `limit / numGroups` when a
   * limit is set, else the smallest group's size — with members chosen by
-  * the deterministic hash order.
+  * the deterministic hash order. The selection is returned in key order.
   */
 abstract class AbstractBalancedStrategy(ctx: SelectorContext, resetAfterTrigger: Boolean,
                                         limit: Option[Int])
     extends AbstractSelectionStrategy(ctx, resetAfterTrigger, None) {
 
-  /** The value of a sample to balance on: its label or its arrival trigger. */
-  protected def groupOf(s: SeenSample): Long
+  /** The value of row `row` to balance on: its label or arrival trigger. */
+  protected def groupOf(pool: SeenColumns, row: Int): Long
 
-  override protected def select(triggerId: Int): IndexedSeq[SelectedSample] = {
-    val groups = ctx.backend.scanAll().groupBy(groupOf)
-    if (groups.isEmpty) return IndexedSeq.empty
-    val quota = limit.map(_ / groups.size).getOrElse(groups.values.map(_.size).min)
-    groups.values.toIndexedSeq
-      .flatMap(_.sortBy(s => (orderHash(s.key, triggerId), s.key)).take(quota))
-      .sortBy(_.key)
-      .map(s => SelectedSample(s.key, 1.0))
+  override protected def select(pool: SeenColumns, triggerId: Int): Array[Int] = {
+    val n     = pool.size
+    val group = new Array[Long](n)
+    (0 until n).foreach(r => group(r) = groupOf(pool, r))
+    // A counting sort by group: each group's rows are contiguous, in key order.
+    val byGroup = LongSort.order(group, n)
+    val bounds  = Array.newBuilder[Int] += 0
+    (1 to n).foreach(i => if (i == n || group(byGroup(i)) != group(byGroup(i - 1))) bounds += i)
+    val b      = bounds.result()
+    val groups = b.length - 1
+    if (groups == 0) return Array.emptyIntArray
+    val quota  = limit.map(_ / groups).getOrElse((0 until groups).map(g => b(g + 1) - b(g)).min)
+    val picked = Array.newBuilder[Int]
+    (0 until groups).foreach { g =>
+      picked ++= hashOrder(pool, java.util.Arrays.copyOfRange(byGroup, b(g), b(g + 1)), triggerId).take(quota)
+    }
+    val rows = picked.result()
+    java.util.Arrays.sort(rows) // row order is key order
+    rows
   }
 }
 
@@ -69,7 +77,7 @@ abstract class AbstractBalancedStrategy(ctx: SelectorContext, resetAfterTrigger:
 final class LabelBalancedStrategy(ctx: SelectorContext, resetAfterTrigger: Boolean,
                                   limit: Option[Int] = None)
     extends AbstractBalancedStrategy(ctx, resetAfterTrigger, limit) {
-  override protected def groupOf(s: SeenSample): Long = s.label
+  override protected def groupOf(pool: SeenColumns, row: Int): Long = pool.labels(row)
 }
 
 /** Equal share per trigger in which samples arrived. Only meaningful without
@@ -78,7 +86,7 @@ final class LabelBalancedStrategy(ctx: SelectorContext, resetAfterTrigger: Boole
 final class TriggerBalancedStrategy(ctx: SelectorContext, resetAfterTrigger: Boolean,
                                     limit: Option[Int] = None)
     extends AbstractBalancedStrategy(ctx, resetAfterTrigger, limit) {
-  override protected def groupOf(s: SeenSample): Long = s.seenInTrigger.toLong
+  override protected def groupOf(pool: SeenColumns, row: Int): Long = pool.trig(row).toLong
 }
 
 /** GDumb (Prabhu et al., ECCV'20) as the paper's example *online*
@@ -97,17 +105,19 @@ final class GDumbStrategy(ctx: SelectorContext, val memorySize: Int,
   private var total  = 0
 
   /** Online policy: state lives in memory, not in the backend. */
-  override def inform(samples: Seq[NewSample]): Unit = samples.foreach { s =>
-    val bucket = memory.getOrElseUpdate(s.label, mutable.ArrayBuffer.empty)
+  override def inform(batch: SampleColumns): Unit = (batch.from until batch.until).foreach { i =>
+    val key    = batch.keys(i)
+    val label  = batch.labels(i)
+    val bucket = memory.getOrElseUpdate(label, mutable.ArrayBuffer.empty)
     if (total < memorySize) {
-      bucket += s.key; total += 1
+      bucket += key; total += 1
     } else {
       val (bigLabel, bigBucket) = memory.maxBy { case (l, b) => (b.size, -l) }
       if (bucket.size < bigBucket.size) {
         // Deterministic stand-in for GDumb's random eviction.
         val evictIdx = bigBucket.indices.maxBy(i => Rng.mix2(bigBucket(i), ctx.seed ^ bigLabel))
         bigBucket.remove(evictIdx)
-        bucket += s.key
+        bucket += key
       } // else: memory balanced and full — drop the sample.
     }
   }
@@ -115,10 +125,16 @@ final class GDumbStrategy(ctx: SelectorContext, val memorySize: Int,
   /** Current memory occupancy per label (exposed for tests/inspection). */
   def memoryCounts: Map[Long, Int] = memory.map { case (l, b) => l -> b.size }.toMap
 
-  override protected def select(triggerId: Int): IndexedSeq[SelectedSample] =
-    memory.toIndexedSeq.sortBy(_._1)
-      .flatMap(_._2.sorted)
-      .map(SelectedSample(_, 1.0))
+  /** The memory's keys, by label and then key; the training set is all of
+    * it, so the other columns stay unused.
+    */
+  override protected def candidates(): SeenColumns = {
+    val keys = memory.toIndexedSeq.sortBy(_._1).flatMap(_._2.sorted).toArray
+    new SeenColumns(keys, new Array(keys.length), new Array(keys.length), new Array(keys.length))
+  }
+
+  override protected def select(pool: SeenColumns, triggerId: Int): Array[Int] =
+    Array.range(0, pool.size)
 
   override protected def resetState(): Unit = { memory.clear(); total = 0 }
 }
@@ -130,7 +146,7 @@ final class GDumbStrategy(ctx: SelectorContext, val memorySize: Int,
 final class CoresetStrategy(presampler: SelectionStrategy,
                             downsamplingConfig: DownsamplingConfig)
     extends SelectionStrategy {
-  override def inform(samples: Seq[NewSample]): Unit = presampler.inform(samples)
+  override def inform(batch: SampleColumns): Unit   = presampler.inform(batch)
   override def onTrigger(): TriggerTrainingSet      = presampler.onTrigger()
   override def downsampling: Option[DownsamplingConfig] = Some(downsamplingConfig)
   override def nextTriggerId: Int                    = presampler.nextTriggerId
@@ -153,10 +169,10 @@ final class PolicyScheduler(schedule: Seq[(Int, SelectionStrategy)]) extends Sel
   private def active: SelectionStrategy =
     sorted.takeWhile(_._1 <= trigger).last._2
 
-  override def inform(samples: Seq[NewSample]): Unit = {
+  override def inform(batch: SampleColumns): Unit = {
     val a = active
     a.seekTrigger(trigger)
-    a.inform(samples)
+    a.inform(batch)
   }
 
   override def onTrigger(): TriggerTrainingSet = {

@@ -1,8 +1,8 @@
 package repro.selector
 
-import java.nio.{ByteBuffer, ByteOrder}
 import repro.storage.FileSystemWrapper
 import repro.util.Parallel
+import scala.collection.immutable.ArraySeq
 
 /** A selected sample: its storage key and its training weight (the weight
   * multiplies the sample's gradient during backpropagation, §3.1).
@@ -16,8 +16,8 @@ final case class SelectedSample(key: Long, weight: Double)
   * fixed-size partition at a time (bounding memory, and providing the unit
   * of transfer to the trainer). Each partition is written by `numThreads`
   * parallel writers, producing `numThreads` files of 16-byte little-endian
-  * (Int64 key, Float64 weight) records — the same binary format as the
-  * local metadata backend.
+  * (Int64 key, Float64 weight) records, through the same fixed-record
+  * writer as the local metadata backend.
   *
   * On the read side, a dataloader worker asks for *its* share of a
   * partition. The worker count generally differs from the writer-thread
@@ -33,26 +33,32 @@ final class TriggerSampleStorage(fs: FileSystemWrapper, baseDir: String) {
   private def fileName(triggerId: Int, partitionId: Int, threadId: Int): String =
     f"${partDir(triggerId)}/part_${partitionId}%06d_w$threadId%05d.tss"
 
-  /** Persist one partition of trigger `triggerId` using `numThreads`
-    * parallel writer threads, each writing a contiguous chunk to its own
-    * file. Writer `t` writes `part_P_wT`; readers rely on these names being
+  /** Persist `keys(from until until)` with their `weights` as partition
+    * `partitionId` of trigger `triggerId`, using `numThreads` parallel
+    * writer threads, each writing a contiguous chunk to its own file.
+    * Writer `t` writes `part_P_wT`; readers rely on these names being
     * contiguous from `w0`, so a failed writer fails the whole call, and a
     * leftover file just past the last writer is removed.
     */
-  def writePartition(triggerId: Int, partitionId: Int,
-                     samples: IndexedSeq[SelectedSample], numThreads: Int): Unit = {
+  def writePartition(triggerId: Int, partitionId: Int, keys: Array[Long], weights: Array[Double],
+                     from: Int, until: Int, numThreads: Int): Unit = {
     require(numThreads > 0, "numThreads must be positive")
-    require(samples.nonEmpty, "cannot persist an empty partition")
-    val per    = (samples.length + numThreads - 1) / numThreads
-    val chunks = samples.grouped(per).toIndexedSeq
-    Parallel.runAll("tss-writer", chunks.zipWithIndex.map { case (chunk, tid) => () =>
-      val bytes = new Array[Byte](chunk.length * RecordBytes)
-      val bb    = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
-      chunk.foreach { s => bb.putLong(s.key); bb.putDouble(s.weight) }
-      fs.write(fileName(triggerId, partitionId, tid), bytes)
+    require(until > from, "cannot persist an empty partition")
+    val per     = (until - from + numThreads - 1) / numThreads
+    val writers = (until - from + per - 1) / per
+    Parallel.runAll("tss-writer", (0 until writers).map { tid => () =>
+      val lo = from + tid * per
+      fs.write(fileName(triggerId, partitionId, tid), FixedRecords.encode(math.min(per, until - lo),
+        RecordBytes) { (buf, r) => buf.putLong(keys(lo + r)).putDouble(weights(lo + r)) })
     })
-    fs.delete(fileName(triggerId, partitionId, chunks.length))
+    fs.delete(fileName(triggerId, partitionId, writers))
   }
+
+  /** Row form of the columnar [[writePartition]]. */
+  def writePartition(triggerId: Int, partitionId: Int,
+                     samples: IndexedSeq[SelectedSample], numThreads: Int): Unit =
+    writePartition(triggerId, partitionId, samples.map(_.key).toArray, samples.map(_.weight).toArray,
+      0, samples.length, numThreads)
 
   /** Files comprising (triggerId, partitionId) with their record counts, in
     * writer-thread order: `w0, w1, ...` up to the first missing name. No
@@ -73,13 +79,13 @@ final class TriggerSampleStorage(fs: FileSystemWrapper, baseDir: String) {
   def partitionSize(triggerId: Int, partitionId: Int): Long =
     partitionFiles(triggerId, partitionId).map(_._2).sum
 
-  /** Worker `workerId` of `numWorkers`'s share of a partition: the
-    * contiguous record range `[workerId*total/numWorkers,
+  /** Worker `workerId` of `numWorkers`'s share of a partition as (keys,
+    * weights): the contiguous record range `[workerId*total/numWorkers,
     * (workerId+1)*total/numWorkers)` over the concatenation of the writer
     * files, assembled with ranged reads of only the needed subparts.
     */
-  def readWorkerShare(triggerId: Int, partitionId: Int,
-                      workerId: Int, numWorkers: Int): IndexedSeq[SelectedSample] = {
+  def workerShare(triggerId: Int, partitionId: Int,
+                  workerId: Int, numWorkers: Int): (Array[Long], Array[Double]) = {
     require(numWorkers > 0 && workerId >= 0 && workerId < numWorkers,
       s"workerId $workerId out of [0, $numWorkers)")
     val files = partitionFiles(triggerId, partitionId)
@@ -87,33 +93,41 @@ final class TriggerSampleStorage(fs: FileSystemWrapper, baseDir: String) {
     readRange(files, workerId * total / numWorkers, (workerId + 1) * total / numWorkers)
   }
 
+  /** Row form of [[workerShare]]. */
+  def readWorkerShare(triggerId: Int, partitionId: Int,
+                      workerId: Int, numWorkers: Int): IndexedSeq[SelectedSample] =
+    rows(workerShare(triggerId, partitionId, workerId, numWorkers))
+
   /** Every record of the partition, in writer order. */
   def readPartition(triggerId: Int, partitionId: Int): IndexedSeq[SelectedSample] = {
     val files = partitionFiles(triggerId, partitionId)
-    readRange(files, 0L, files.map(_._2).sum)
+    rows(readRange(files, 0L, files.map(_._2).sum))
   }
 
   /** Every record of the whole trigger training set, partition order. */
   def readTrigger(triggerId: Int): IndexedSeq[SelectedSample] =
     (0 until numPartitions(triggerId)).flatMap(readPartition(triggerId, _))
 
+  private def rows(share: (Array[Long], Array[Double])): IndexedSeq[SelectedSample] =
+    ArraySeq.unsafeWrapArray(share._1.zip(share._2).map(SelectedSample.tupled))
+
   private def readRange(files: IndexedSeq[(String, Long)],
-                        start: Long, end: Long): IndexedSeq[SelectedSample] = {
-    val out = IndexedSeq.newBuilder[SelectedSample]
+                        start: Long, end: Long): (Array[Long], Array[Double]) = {
+    val keys    = new Array[Long]((end - start).toInt)
+    val weights = new Array[Double](keys.length)
     var fileStart = 0L
     files.foreach { case (path, n) =>
       val fileEnd = fileStart + n
       val lo = math.max(start, fileStart)
       val hi = math.min(end, fileEnd)
       if (lo < hi) {
-        val bytes = fs.read(path, (lo - fileStart) * RecordBytes, ((hi - lo) * RecordBytes).toInt)
-        val bb    = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN)
-        var i = 0L
-        while (i < hi - lo) { out += SelectedSample(bb.getLong(), bb.getDouble()); i += 1 }
+        val at = (lo - start).toInt
+        FixedRecords.decode(fs.read(path, (lo - fileStart) * RecordBytes, ((hi - lo) * RecordBytes).toInt),
+          RecordBytes) { (buf, r) => keys(at + r) = buf.getLong(); weights(at + r) = buf.getDouble() }
       }
       fileStart = fileEnd
     }
-    out.result()
+    (keys, weights)
   }
 }
 

@@ -61,10 +61,18 @@ final class LocalFileSystemWrapper extends FileSystemWrapper {
 
   override def size(path: String): Long = Files.size(p(path))
 
+  /** One channel write of the whole array: `Files.write` would stream it
+    * in 8 KB pieces, one system call each.
+    */
   override def write(path: String, bytes: Array[Byte]): Unit = {
     val parent = p(path).getParent
     if (parent != null) Files.createDirectories(parent)
-    Files.write(p(path), bytes)
+    val ch = FileChannel.open(p(path), StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING,
+      StandardOpenOption.WRITE)
+    try {
+      val buf = ByteBuffer.wrap(bytes)
+      while (buf.hasRemaining) ch.write(buf)
+    } finally ch.close()
   }
 
   override def exists(path: String): Boolean = Files.exists(p(path))

@@ -3,6 +3,7 @@ package repro.storage
 import java.sql.{Connection, DriverManager}
 import java.util.concurrent.ConcurrentHashMap
 import org.duckdb.DuckDBConnection
+import repro.util.LongSort
 import scala.collection.immutable.ArraySeq
 import scala.jdk.CollectionConverters._
 
@@ -11,6 +12,23 @@ import scala.jdk.CollectionConverters._
   * component which "assigns a unique key to each sample" (§3.4).
   */
 final case class SampleMeta(key: Long, fileId: Int, indexInFile: Int, label: Long, timestampSec: Long)
+
+/** Samples as parallel columns: row `i`, for `i` in `from until until`, is
+  * the sample `keys(i)` with its label and event time. A slice shares the
+  * arrays of the columns it was cut from.
+  */
+final class SampleColumns(val keys: Array[Long], val labels: Array[Long], val ts: Array[Long],
+                          val from: Int, val until: Int) {
+  def size: Int = until - from
+
+  /** Rows `lo until hi` of this slice, counted from its first row. */
+  def slice(lo: Int, hi: Int): SampleColumns = new SampleColumns(keys, labels, ts, from + lo, from + hi)
+}
+
+object SampleColumns {
+  def apply(keys: Array[Long], labels: Array[Long], ts: Array[Long]): SampleColumns =
+    new SampleColumns(keys, labels, ts, 0, keys.length)
+}
 
 /** Registered file metadata: where it lives and how to parse it. */
 final case class FileMeta(fileId: Int, path: String, wrapperType: FileWrapperType)
@@ -114,28 +132,62 @@ final class SampleRegistry extends AutoCloseable {
     n
   }
 
-  /** Resolve an arbitrary key set to (key, fileId, idx, label, ts), sorted
-    * by (fileId, idx) so the caller can iterate file by file (§4.2.3). A
-    * key requested twice yields two rows; unknown and deleted keys yield
-    * none. Costs a primitive sort of the requested keys plus array reads.
+  /** Resolve the requested keys `keys(from until until)` to their rows,
+    * sorted by (fileId, idx) so the caller can iterate file by file
+    * (§4.2.3); each row carries the position of its key in `keys`. A key
+    * requested twice yields two rows; unknown and deleted keys yield none.
+    * Requested keys in ascending order cost one pass; others first get one
+    * primitive sort of their `(key - 1) << 32 | position` values.
+    */
+  def locate(keys: Array[Long], from: Int, until: Int): SampleRegistry.Located = {
+    val ix     = index
+    val sorted = LongSort.isAscending(keys, from, until)
+    val packed = if (sorted) null else {
+      val p = new Array[Long](until - from)
+      var i = from
+      while (i < until) {
+        val k = keys(i)
+        p(i - from) = if (k >= 1 && k <= ix.size) ((k - 1) << 32) | i else Long.MaxValue
+        i += 1
+      }
+      java.util.Arrays.sort(p)
+      p
+    }
+    val positions = new Array[Int](until - from)
+    val rows      = new Array[Int](until - from)
+    val files     = new Array[Int](until - from)
+    var n = 0
+    var j = 0
+    while (j < until - from) {
+      val key = if (sorted) keys(from + j) else (packed(j) >>> 32) + 1
+      if (key >= 1 && key <= ix.size) {
+        val f = ix.fileId((key - 1).toInt)
+        if (f != KeyIndex.Deleted) {
+          positions(n) = if (sorted) from + j else packed(j).toInt
+          rows(n) = (key - 1).toInt
+          files(n) = f
+          n += 1
+        }
+      }
+      j += 1
+    }
+    if (n == until - from) new SampleRegistry.Located(positions, rows, files, ix.idx, ix.label, ix.ts)
+    else new SampleRegistry.Located(java.util.Arrays.copyOf(positions, n),
+      java.util.Arrays.copyOf(rows, n), java.util.Arrays.copyOf(files, n), ix.idx, ix.label, ix.ts)
+  }
+
+  /** Row form of [[locate]] over all of `keys`: (key, fileId, idx, label,
+    * ts) sorted by (fileId, idx).
     */
   def lookup(keys: Array[Long]): Array[SampleMeta] = {
-    val ix     = index
-    val sorted = keys.clone()
-    java.util.Arrays.sort(sorted)
-    val out = new Array[SampleMeta](sorted.length)
-    var n   = 0
-    var i   = 0
-    while (i < sorted.length) {
-      val k = sorted(i)
-      if (k >= 1 && k <= ix.size) {
-        val r = (k - 1).toInt
-        val f = ix.fileId(r)
-        if (f != KeyIndex.Deleted) { out(n) = ix.meta(r, f); n += 1 }
-      }
+    val l   = locate(keys, 0, keys.length)
+    val out = new Array[SampleMeta](l.size)
+    var i = 0
+    while (i < out.length) {
+      out(i) = SampleMeta(l.key(i), l.fileId(i), l.indexInFile(i), l.label(i), l.timestampSec(i))
       i += 1
     }
-    if (n == out.length) out else java.util.Arrays.copyOf(out, n)
+    out
   }
 
   /** The same as `lookup(keys)`; `conn` is unused. Callers written
@@ -145,22 +197,29 @@ final class SampleRegistry extends AutoCloseable {
   @deprecated("the registry keeps no SQL tables; use lookup(keys)")
   def lookup(conn: Connection, keys: Array[Long]): Array[SampleMeta] = lookup(keys)
 
-  /** All live sample metadata ordered by (timestamp, key) — the replay
-    * order of experiment mode (§4.1.1).
+  /** Every live sample as columns in the replay order of experiment mode
+    * (§4.1.1): by timestamp, then key.
+    */
+  def samplesByTime(): SampleColumns = {
+    val ix   = index
+    val rows = ix.liveRowsByTime()
+    val keys   = new Array[Long](rows.length)
+    val labels = new Array[Long](rows.length)
+    val ts     = new Array[Long](rows.length)
+    var i = 0
+    while (i < rows.length) {
+      keys(i) = rows(i) + 1L; labels(i) = ix.label(rows(i)); ts(i) = ix.ts(rows(i))
+      i += 1
+    }
+    SampleColumns(keys, labels, ts)
+  }
+
+  /** Row form of [[samplesByTime]]: all live sample metadata ordered by
+    * (timestamp, key).
     */
   def allSamplesByTime(): IndexedSeq[SampleMeta] = {
-    val ix   = index
-    val live = Array.newBuilder[SampleMeta]
-    var r    = 0
-    while (r < ix.size) {
-      val f = ix.fileId(r)
-      if (f != KeyIndex.Deleted) live += ix.meta(r, f)
-      r += 1
-    }
-    val metas = live.result()
-    // A stable sort, so samples with one timestamp stay in key order.
-    java.util.Arrays.sort(metas, java.util.Comparator.comparingLong[SampleMeta](_.timestampSec))
-    ArraySeq.unsafeWrapArray(metas)
+    val ix = index
+    ArraySeq.unsafeWrapArray(ix.liveRowsByTime().map(r => ix.meta(r, ix.fileId(r))))
   }
 
   override def close(): Unit = lock.synchronized {
@@ -169,6 +228,21 @@ final class SampleRegistry extends AutoCloseable {
 }
 
 object SampleRegistry {
+  /** The rows one [[SampleRegistry.locate]] call resolved, in (file, idx)
+    * order: row `i` is the requested key at `position(i)` of the request.
+    */
+  final class Located private[SampleRegistry] (positions: Array[Int], rows: Array[Int],
+                                               files: Array[Int], idx: Array[Int],
+                                               labels: Array[Long], ts: Array[Long]) {
+    def size: Int                  = rows.length
+    def position(i: Int): Int      = positions(i)
+    def key(i: Int): Long          = rows(i) + 1L
+    def fileId(i: Int): Int        = files(i)
+    def indexInFile(i: Int): Int   = idx(rows(i))
+    def label(i: Int): Long        = labels(rows(i))
+    def timestampSec(i: Int): Long = ts(rows(i))
+  }
+
   /** Rows `0 until size` of the key index; row `key - 1` is that key's
     * sample. Published rows never change, except that deletion sets
     * `fileId` to [[Deleted]] in place. The arrays may be longer than
@@ -201,6 +275,31 @@ object SampleRegistry {
 
     def meta(row: Int, file: Int): SampleMeta =
       SampleMeta(row + 1L, file, idx(row), label(row), ts(row))
+
+    /** The live rows ordered by (timestamp, key). Rows are in key order,
+      * so this is a stable sort by timestamp, skipped when the timestamps
+      * already ascend.
+      */
+    def liveRowsByTime(): Array[Int] = {
+      var n = 0
+      var r = 0
+      while (r < size) { if (fileId(r) != KeyIndex.Deleted) n += 1; r += 1 }
+      val rows  = new Array[Int](n)
+      val times = new Array[Long](n)
+      n = 0
+      r = 0
+      while (r < size) {
+        if (fileId(r) != KeyIndex.Deleted) { rows(n) = r; times(n) = ts(r); n += 1 }
+        r += 1
+      }
+      if (LongSort.isAscending(times, 0, n)) rows
+      else {
+        val order = LongSort.order(times, n)
+        var i = 0
+        while (i < n) { order(i) = rows(order(i)); i += 1 }
+        order
+      }
+    }
   }
 
   private object KeyIndex {

@@ -23,8 +23,6 @@ private[trainer] object Loader {
     def put(chunk: TrainBatch): Unit = queue.put(chunk)
     /** True once any worker failed: producers stop early. */
     def failed: Boolean = failure.get() != null
-    /** Record a failure raised on a producer's own helper thread. */
-    def fail(e: Throwable): Unit = failure.compareAndSet(null, e)
   }
 
   private object WorkerDone
@@ -44,7 +42,7 @@ private[trainer] object Loader {
       val sink = new Sink(queues(w), failure)
       Parallel.fork(s"loader-worker-$w") {
         try producers(w)(sink)
-        catch { case e: Throwable => sink.fail(e) }
+        catch { case e: Throwable => failure.compareAndSet(null, e) }
         finally queues(w).put(WorkerDone)
       }
     }

@@ -3,7 +3,6 @@ package repro.trainer
 import repro.selector.TriggerTrainingSet
 import repro.storage.{PayloadBatch, StorageService}
 import repro.util.Parallel
-import scala.collection.mutable
 
 /** Tuning knobs of the data path, matching the dimensions varied in §5.1:
   * dataloader workers, prefetched partitions per worker (the partition
@@ -42,10 +41,8 @@ trait TrainingSetSource {
 final class TssSource(tts: TriggerTrainingSet) extends TrainingSetSource {
   override def numPartitions: Int = tts.numPartitions
   override def totalSamples: Long = tts.totalSamples
-  override def workerShare(partition: Int, workerId: Int, numWorkers: Int): (Array[Long], Array[Double]) = {
-    val share = tts.tss.readWorkerShare(tts.triggerId, partition, workerId, numWorkers)
-    (share.map(_.key).toArray, share.map(_.weight).toArray)
-  }
+  override def workerShare(partition: Int, workerId: Int, numWorkers: Int): (Array[Long], Array[Double]) =
+    tts.tss.workerShare(tts.triggerId, partition, workerId, numWorkers)
 }
 
 /** In-memory source over an explicit key/weight list, cut into fixed-size
@@ -88,12 +85,7 @@ final class InMemorySource(keys: Array[Long], weights: Array[Double],
 final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
                           parser: BytesParser, transform: Transform,
                           cfg: OnlineDatasetConfig) {
-
-  /** A raw storage chunk plus the weight of each key in the worker share;
-    * parsing happens in the worker's *main* thread (§4.2.1), never in the
-    * prefetch threads.
-    */
-  private final case class RawChunk(chunk: PayloadBatch, weightOf: mutable.LongMap[Double])
+  import OnlineDataset.RawChunk
 
   /** Samples per parsed chunk: `sendBufferSize`, or fewer when a retrieval
     * thread's part of a worker share is smaller.
@@ -142,15 +134,7 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
     */
   private def fetchChunks(workerId: Int, partition: Int): Iterator[RawChunk] = {
     val (keys, weights) = source.workerShare(partition, workerId, cfg.numWorkers)
-    if (keys.isEmpty) return Iterator.empty
-    val weightOf = {
-      // LongMap repacks once it is half full: size it so it never does.
-      val m = new mutable.LongMap[Double](2 * keys.length)
-      var i = 0
-      while (i < keys.length) { m(keys(i)) = weights(i); i += 1 }
-      m
-    }
-    storage.retrieve(keys, cfg.storageThreads).map(RawChunk(_, weightOf))
+    storage.retrieve(keys, cfg.storageThreads).map(RawChunk(_, weights))
   }
 
   /** Apply the bytes parser + transformations to one raw chunk — always
@@ -165,9 +149,17 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
     while (i < c.size) {
       xs(i) = transform(parser.parse(c.payloads(i)))
       ys(i) = c.labels(i).toInt
-      ws(i) = raw.weightOf(c.keys(i))
+      ws(i) = raw.weights(c.positions(i))
       i += 1
     }
     TrainBatch(c.keys, xs, ys, ws)
   }
+}
+
+object OnlineDataset {
+  /** A raw storage chunk plus the weights of the worker share it was
+    * requested for, indexed by the chunk's key positions. Parsing happens
+    * in the worker's *main* thread (§4.2.1), never in the prefetch threads.
+    */
+  private final case class RawChunk(chunk: PayloadBatch, weights: Array[Double])
 }

@@ -5,7 +5,7 @@ import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicReferenc
 
 /** The one executor of every thread site: the dataloader workers, the
   * prefetch tasks, the storage retrieval tasks, and the parallel file
-  * writers of the TSS and the local metadata backend.
+  * writers of the TSS.
   *
   * Idle threads are kept for a minute and reused, so a partition, an epoch
   * or a trigger does not pay thread start-up again. Thread starts cost

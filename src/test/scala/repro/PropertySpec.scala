@@ -36,6 +36,28 @@ class PropertySpec extends AnyFunSuite {
     })
   }
 
+  test("property: the columnar TSS share equals readWorkerShare for 1-8 writers x 1-8 workers") {
+    check(Prop.forAll(Gen.choose(1, 200)) { n =>
+      TestUtil.withTmpDir { dir =>
+        val tss = new TriggerSampleStorage(fs, dir)
+        val keys    = Array.tabulate(n)(i => Rng.mix(i.toLong))
+        val weights = Array.tabulate(n)(i => Rng.uniform(i.toLong) - 0.5)
+        (1 to 8).forall { writers =>
+          tss.writePartition(writers, 0, keys, weights, 0, n, writers)
+          (1 to 8).forall { workers =>
+            (0 until workers).forall { w =>
+              val (ks, ws) = tss.workerShare(writers, 0, w, workers)
+              val rows     = tss.readWorkerShare(writers, 0, w, workers)
+              ks.toSeq == rows.map(_.key) &&
+                ws.map(java.lang.Double.doubleToRawLongBits).toSeq ==
+                  rows.map(r => java.lang.Double.doubleToRawLongBits(r.weight))
+            }
+          }
+        }
+      }
+    }, tests = 15)
+  }
+
   test("property: InMemorySource shares cover every key exactly once") {
     check(Prop.forAll(Gen.choose(1, 300), Gen.choose(1, 50), Gen.choose(1, 9)) {
       (n, partSize, workers) =>

@@ -80,7 +80,7 @@ class MetadataBackendSpec extends SparkSpec {
   }
 
   backendContract("duckdb", _ => new DuckDbBackend)
-  backendContract("local",  dir => new LocalBinaryBackend(fs, s"$dir/local", numThreads = 3))
+  backendContract("local",  dir => new LocalBinaryBackend(fs, s"$dir/local"))
   backendContract("spark",  dir => new SparkParquetBackend(spark, s"$dir/pq"))
 
   test("duckdb: arbitrary SQL selection works") {
@@ -91,25 +91,28 @@ class MetadataBackendSpec extends SparkSpec {
     b.close()
   }
 
-  test("local: multithreaded chunks cover all samples") {
+  test("local: each persist call writes one file of every sample") {
     withTmpDir { dir =>
-      val b = new LocalBinaryBackend(fs, s"$dir/local", numThreads = 5)
+      val b = new LocalBinaryBackend(fs, s"$dir/local")
       b.persist(samples(101))
-      assert(b.count == 101)
-      assert(b.scanAll().map(_.key) == samples(101).map(_.key))
+      b.persist(samples(7, trig = 1))
+      assert(fs.list(s"$dir/local").size == 2)
+      assert(b.count == 108)
+      assert(b.scanAll().map(_.key) == (samples(101) ++ samples(7, trig = 1)).map(_.key))
       b.close()
     }
   }
 
-  test("local: a failing writer thread fails persist") {
+  test("local: a failing write fails persist") {
     withTmpDir { dir =>
       val broken = new ForwardingFs {
         override def write(path: String, bytes: Array[Byte]): Unit =
-          if (path.endsWith("_t02.bin")) throw new java.io.IOException("disk full")
+          if (path.contains("chunk_00000001")) throw new java.io.IOException("disk full")
           else super.write(path, bytes)
       }
-      val b  = new LocalBinaryBackend(broken, dir, numThreads = 4)
-      val ex = intercept[java.io.IOException] { b.persist(samples(40)) }
+      val b  = new LocalBinaryBackend(broken, dir)
+      b.persist(samples(40))
+      val ex = intercept[java.io.IOException] { b.persist(samples(40, trig = 1)) }
       assert(ex.getMessage == "disk full")
     }
   }

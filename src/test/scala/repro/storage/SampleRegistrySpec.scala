@@ -4,6 +4,7 @@ import java.nio.{ByteBuffer, ByteOrder}
 import org.duckdb.DuckDBConnection
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil.{ForwardingFs, withTmpDir}
+import repro.util.Rng
 
 class SampleRegistrySpec extends AnyFunSuite {
   private val fs = new LocalFileSystemWrapper
@@ -161,6 +162,49 @@ class SampleRegistrySpec extends AnyFunSuite {
         IndexedSeq(3L), _ => 9L)
       val ts = r.allSamplesByTime().map(m => (m.timestampSec, m.key))
       assert(ts == ts.sorted)
+      r.close()
+    }
+  }
+
+  test("samplesByTime equals allSamplesByTime with deletions and runs of equal timestamps") {
+    withTmpDir { dir =>
+      val r = new SampleRegistry
+      def columns = { val c = r.samplesByTime(); (c.from until c.until).map(i => (c.keys(i), c.labels(i), c.ts(i))) }
+      def rows = r.allSamplesByTime().map(m => (m.key, m.label, m.timestampSec))
+      // Ascending timestamps: the replay order is the key order.
+      r.ingestPrecomputed(s"$dir/a.bin", FileWrapperType.Binary(16), IndexedSeq.tabulate(50)(_.toLong), _.toLong)
+      assert(columns == rows && rows.map(_._1) == (1L to 50L))
+      // Files whose timestamps run backwards, interleave and repeat in runs.
+      (0 until 40).foreach { f =>
+        r.ingestPrecomputed(s"$dir/f$f.bin", FileWrapperType.Binary(16),
+          IndexedSeq.tabulate(1 + f % 7)(i => (f * 10 + i).toLong), i => Math.floorMod(Rng.mix2(f, i), 9L) / 3)
+      }
+      r.deleteSamples((1L to r.numSamples).filter(k => Rng.mix(k) % 5 == 0))
+      val expected = rows
+      assert(expected.map(e => (e._3, e._1)) == expected.map(e => (e._3, e._1)).sorted)
+      assert(expected.map(_._3).distinct.size < expected.size, "no run of equal timestamps")
+      assert(columns == expected)
+      r.close()
+    }
+  }
+
+  test("locate gives each row the position of its key in the request, sorted or not") {
+    withTmpDir { dir =>
+      val r = new SampleRegistry
+      (0 until 5).foreach(f => r.ingestPrecomputed(s"$dir/f$f.bin", FileWrapperType.Binary(16),
+        IndexedSeq.tabulate(20)(_.toLong)))
+      r.deleteSamples(Seq(7L, 40L))
+      val requests = Seq((1L to 100L).toArray, Array(90L, 3L, 7L, 3L, 0L, 55L, 101L, 40L, 12L),
+        (1L to 100L).map(k => Rng.mix(k)).zip(1L to 100L).sortBy(_._1).map(_._2).toArray)
+      requests.foreach { keys =>
+        val from = 1
+        val l = r.locate(keys, from, keys.length)
+        val got = (0 until l.size).map(i => (l.key(i), l.position(i)))
+        val expected = (from until keys.length).map(p => (keys(p), p))
+          .filter { case (k, _) => k >= 1 && k <= 100 && k != 7 && k != 40 }.sorted
+        assert(got == expected)
+        assert((0 until l.size).forall(i => l.fileId(i) == (l.key(i) - 1) / 20 && l.indexInFile(i) == (l.key(i) - 1) % 20))
+      }
       r.close()
     }
   }

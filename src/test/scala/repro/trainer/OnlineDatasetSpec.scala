@@ -77,6 +77,26 @@ class OnlineDatasetSpec extends AnyFunSuite {
     }
   }
 
+  test("weights follow their keys in a share out of key order, for 1-3 storage threads") {
+    withTmpDir { dir =>
+      val registry = new SampleRegistry
+      val metas    = CriteoLite.generate(fs, registry, s"$dir/data", 400, samplesPerFile = 64)
+      val storage  = new StorageService(registry, fs, sendBufferSize = 16)
+      val tss      = new TriggerSampleStorage(fs, s"$dir/tss")
+      // Uniform sampling's order: by a per-key hash, so shares are not in key order.
+      val keys    = metas.map(_.key).filter(_ % 3 != 0).sortBy(k => Rng.mix2(k, 5L)).toArray
+      val weights = keys.map(k => 0.25 + (k % 7))
+      (0 until 3).foreach(p => tss.writePartition(0, p, keys, weights, p * 100, math.min(keys.length, (p + 1) * 100), 2))
+      val tts = TriggerTrainingSet(0, 3, keys.length.toLong, tss)
+      for (threads <- 1 to 3; workers <- Seq(1, 2)) {
+        val got = new OnlineDataset(new TssSource(tts), storage, new CriteoBytesParser(32), IdentityTransform,
+          cfg(workers, storageThreads = threads)).batches().flatMap(b => b.keys.zip(b.weights)).toSeq
+        assert(got.sortBy(_._1) == keys.zip(weights).toSeq.sortBy(_._1), s"threads=$threads workers=$workers")
+      }
+      registry.close()
+    }
+  }
+
   test("labels match the registry metadata") {
     withTmpDir { dir =>
       val (r, storage, tts) = setup(dir, 100, partitionSize = 30)
