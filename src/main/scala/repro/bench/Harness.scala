@@ -25,7 +25,7 @@ final case class ThroughputResult(samples: Long, wallMs: Long) {
   * OnlineDataset → training consumer), and the §5.1.1 local baseline
   * (sequential file reads, no sample-level selection). Both run on the
   * same dataloader ([[repro.trainer.LocalFileDataset]] shares the
-  * OnlineDataset's workers, queues and batch assembly), and both are timed
+  * OnlineDataset's workers, buffers and batch assembly), and both are timed
   * alike: the clock starts before `batches()` starts the worker threads
   * and stops after the last model update.
   */
@@ -95,13 +95,14 @@ object Harness {
   }
 
   /** Time feeding every batch of `batches()` to the model's training step. */
-  private def train(batches: () => Iterator[TrainBatch], model: Model): ThroughputResult = {
+  private def train(batches: () => Iterator[TrainBatch] with AutoCloseable, model: Model): ThroughputResult = {
     var n = 0L
     val start = System.nanoTime()
-    batches().foreach { b =>
+    val it = batches()
+    try it.foreach { b =>
       model.trainBatch(b.features, b.labels, b.weights)
       n += b.size
-    }
+    } finally it.close()
     ThroughputResult(n, (System.nanoTime() - start) / 1000000L)
   }
 
@@ -114,7 +115,4 @@ object Harness {
   def clocModel(featureDim: Int, numClasses: Int): SoftmaxRegressionModel =
     new SoftmaxRegressionModel(featureDim, numClasses,
       SgdConfig(lr = 0.025, momentum = 0.9, weightDecay = 1e-4), seed = 1)
-
-  /** Format a throughput as the paper's kOps/s with one decimal. */
-  def fmt(t: ThroughputResult): String = f"${t.kOpsPerSec}%8.1f"
 }

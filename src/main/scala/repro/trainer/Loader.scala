@@ -1,112 +1,83 @@
 package repro.trainer
 
-import java.util.concurrent.ArrayBlockingQueue
-import java.util.concurrent.atomic.AtomicReference
 import repro.util.Parallel
+import scala.collection.AbstractIterator
 import scala.collection.mutable
 
-/** The dataloader machinery shared by [[OnlineDataset]] (§4.2.1) and the
-  * §5.1.1 local baseline [[LocalFileDataset]], so that the two are
-  * compared on one dataloader: one thread per worker runs that worker's
-  * producer, which parses samples into chunks and puts them on the
-  * worker's bounded queue in its own order.
-  * The consumer cuts batches of `batchSize` from the workers' chunks,
-  * taking workers round-robin. The first failure of any worker makes the
-  * other producers stop early and is rethrown to the consumer.
+/** The dataloader shared by [[OnlineDataset]] (§4.2.1) and the §5.1.1
+  * local baseline [[LocalFileDataset]], so that the two are compared on
+  * one dataloader. Each worker is a pull iterator of batches, run on its
+  * own pooled task of a [[repro.util.Parallel.FanOut]], which buffers up
+  * to `QueueBatches` of its batches ahead of the consumer. The consumer
+  * takes one batch from each worker in turn (§4.2.1); a worker whose
+  * stream ends leaves the rotation. The first failure of any worker stops
+  * the others and is rethrown to the consumer.
   */
 private[trainer] object Loader {
 
-  /** A worker's end of its queue, plus the loader-wide failure flag. */
-  final class Sink private[Loader] (queue: ArrayBlockingQueue[AnyRef],
-                                    failure: AtomicReference[Throwable]) {
-    /** Queue one parsed chunk; blocks while the worker is far enough ahead. */
-    def put(chunk: TrainBatch): Unit = queue.put(chunk)
-    /** True once any worker failed: producers stop early. */
-    def failed: Boolean = failure.get() != null
-  }
+  /** Batches a worker may have ready before it waits for the consumer. */
+  private val QueueBatches = 4
 
-  private object WorkerDone
-
-  /** Start one thread per producer and return the round-robin batches.
-    * A worker's queue holds four batches' worth of chunks of about
-    * `chunkSize` samples, and at least two. The iterator must be fully
-    * consumed; a worker failure is rethrown once every worker stopped.
+  /** Run `worker(0)`, …, `worker(numWorkers - 1)` and return their batches
+    * round-robin. `close()` stops every worker, and with it what the
+    * workers read: close an iterator that is not read to its end.
     */
-  def batches(producers: IndexedSeq[Sink => Unit], batchSize: Int,
-              chunkSize: Long): Iterator[TrainBatch] = {
-    val failure     = new AtomicReference[Throwable](null)
-    val queueChunks = math.max(2L, (4L * batchSize + chunkSize - 1) / chunkSize).toInt
-    val queues      = IndexedSeq.fill(producers.size)(new ArrayBlockingQueue[AnyRef](queueChunks))
+  def batches(numWorkers: Int)(worker: Int => Iterator[TrainBatch]): Iterator[TrainBatch] with AutoCloseable = {
+    val streams = Parallel.fanOut("loader-worker", numWorkers, numWorkers, numWorkers, QueueBatches)(worker)
+    new AbstractIterator[TrainBatch] with AutoCloseable {
+      private val rotation = mutable.Queue.range(0, numWorkers)
 
-    producers.indices.foreach { w =>
-      val sink = new Sink(queues(w), failure)
-      Parallel.fork(s"loader-worker-$w") {
-        try producers(w)(sink)
-        catch { case e: Throwable => failure.compareAndSet(null, e) }
-        finally queues(w).put(WorkerDone)
+      override def hasNext: Boolean = {
+        while (rotation.nonEmpty && !streams(rotation.head).hasNext) rotation.dequeue()
+        rotation.nonEmpty
       }
-    }
-    assemble(queues, failure, batchSize)
-  }
-
-  /** Round-robin batch assembly across workers (§4.2.1): take up to
-    * `batchSize` samples from one worker, yield the batch, move to the
-    * next; a worker that finishes yields its final partial batch and
-    * leaves the rotation. A batch is cut from the worker's parsed chunks,
-    * so it may span several chunks and a chunk several batches.
-    */
-  private def assemble(queues: IndexedSeq[ArrayBlockingQueue[AnyRef]],
-                       failure: AtomicReference[Throwable],
-                       batchSize: Int): Iterator[TrainBatch] =
-    new Iterator[TrainBatch] {
-      private val active    = mutable.Queue.empty[Int] ++ queues.indices
-      // Each worker's partly consumed chunk and the next position in it.
-      private val current   = new Array[TrainBatch](queues.size)
-      private val pos       = new Array[Int](queues.size)
-      private var nextBatch = fetchNext()
-
-      private def fetchNext(): Option[TrainBatch] = {
-        while (active.nonEmpty) {
-          val w    = active.dequeue()
-          val keys = new Array[Long](batchSize)
-          val xs   = new Array[Array[Float]](batchSize)
-          val ys   = new Array[Int](batchSize)
-          val ws   = new Array[Double](batchSize)
-          var n    = 0
-          var done = false
-          while (n < batchSize && !done) {
-            val c = current(w)
-            if (c == null || pos(w) == c.size) {
-              queues(w).take() match {
-                case WorkerDone    => done = true
-                case b: TrainBatch => current(w) = b; pos(w) = 0
-                case other         => throw new IllegalStateException(s"unexpected $other")
-              }
-            } else {
-              val k = math.min(c.size - pos(w), batchSize - n)
-              System.arraycopy(c.keys, pos(w), keys, n, k)
-              System.arraycopy(c.features, pos(w), xs, n, k)
-              System.arraycopy(c.labels, pos(w), ys, n, k)
-              System.arraycopy(c.weights, pos(w), ws, n, k)
-              pos(w) += k
-              n += k
-            }
-          }
-          if (!done) active.enqueue(w)
-          if (n == batchSize) return Some(TrainBatch(keys, xs, ys, ws))
-          if (n > 0) return Some(TrainBatch(java.util.Arrays.copyOf(keys, n),
-            java.util.Arrays.copyOf(xs, n), java.util.Arrays.copyOf(ys, n),
-            java.util.Arrays.copyOf(ws, n)))
-        }
-        if (failure.get() != null) throw failure.get()
-        None
-      }
-
-      override def hasNext: Boolean = nextBatch.isDefined
       override def next(): TrainBatch = {
-        val b = nextBatch.get
-        nextBatch = fetchNext()
-        b
+        if (!hasNext) throw new NoSuchElementException("next on an exhausted loader")
+        val w = rotation.dequeue()
+        rotation.enqueue(w)
+        streams(w).next()
       }
+      override def close(): Unit = streams.close()
+    }
+  }
+
+  /** Cut a worker's parsed chunks into batches of `batchSize`: batch `k`
+    * holds samples `[k·batchSize, (k+1)·batchSize)` of the chunk stream,
+    * and only the last batch may be partial. A batch may span several
+    * chunks, and a chunk several batches. `close()` closes `source`, what
+    * the chunks are read from.
+    */
+  def cut(chunks: Iterator[TrainBatch], batchSize: Int,
+          source: AutoCloseable = () => ()): Iterator[TrainBatch] with AutoCloseable =
+    new AbstractIterator[TrainBatch] with AutoCloseable {
+      // The partly consumed chunk and the next position in it.
+      private var chunk = TrainBatch(Array.empty, Array.empty, Array.empty, Array.empty)
+      private var pos   = 0
+
+      override def hasNext: Boolean = {
+        while (pos == chunk.size && chunks.hasNext) { chunk = chunks.next(); pos = 0 }
+        pos < chunk.size
+      }
+      override def next(): TrainBatch = {
+        if (!hasNext) throw new NoSuchElementException("next on an exhausted worker")
+        val keys = new Array[Long](batchSize)
+        val xs   = new Array[Array[Float]](batchSize)
+        val ys   = new Array[Int](batchSize)
+        val ws   = new Array[Double](batchSize)
+        var n    = 0
+        while (n < batchSize && hasNext) {
+          val k = math.min(chunk.size - pos, batchSize - n)
+          System.arraycopy(chunk.keys, pos, keys, n, k)
+          System.arraycopy(chunk.features, pos, xs, n, k)
+          System.arraycopy(chunk.labels, pos, ys, n, k)
+          System.arraycopy(chunk.weights, pos, ws, n, k)
+          pos += k
+          n += k
+        }
+        if (n == batchSize) TrainBatch(keys, xs, ys, ws)
+        else TrainBatch(java.util.Arrays.copyOf(keys, n), java.util.Arrays.copyOf(xs, n),
+          java.util.Arrays.copyOf(ys, n), java.util.Arrays.copyOf(ws, n))
+      }
+      override def close(): Unit = source.close()
     }
 }

@@ -9,33 +9,34 @@ import repro.storage.{FileMeta, FileSystemWrapper, FileWrapperType}
   * retrieval, no metadata lookup, no sample-level selection. Each file is
   * read through its registered [[repro.storage.FileWrapper]], so Criteo
   * binary files and CLOC single-sample files with `.label` sidecars take
-  * the same path. Workers, queues and round-robin batch assembly are the
-  * [[Loader]] the OnlineDataset uses.
+  * the same path. Workers, their buffers and round-robin batch assembly
+  * are the [[Loader]] the OnlineDataset uses.
   */
 final class LocalFileDataset(fs: FileSystemWrapper, files: Seq[FileMeta],
                              parser: BytesParser, transform: Transform,
                              numWorkers: Int, batchSize: Int) {
   require(numWorkers > 0 && batchSize > 0, "numWorkers and batchSize must be positive")
 
-  def batches(): Iterator[TrainBatch] = {
+  /** Iterate every file once as training batches; `close()` stops the
+    * workers: close an iterator that is not read to its end.
+    */
+  def batches(): Iterator[TrainBatch] with AutoCloseable = {
     // Round-robin file assignment gives every worker an equal share.
     val assignment = files.zipWithIndex.groupMap(_._2 % numWorkers)(_._1)
-    Loader.batches((0 until numWorkers).map { w =>
-      (out: Loader.Sink) => produce(assignment.getOrElse(w, Seq.empty), out)
-    }, batchSize, chunkSize = batchSize)
+    Loader.batches(numWorkers)(w => worker(assignment.getOrElse(w, Seq.empty)))
   }
 
-  /** Parse the samples of `mine`, in file order, into chunks of
+  /** The samples of `mine`, in file order, parsed into batches of
     * `batchSize` that may span files.
     */
-  private def produce(mine: Seq[FileMeta], out: Loader.Sink): Unit =
-    mine.iterator.takeWhile(_ => !out.failed)
+  private def worker(mine: Seq[FileMeta]): Iterator[TrainBatch] =
+    mine.iterator
       .flatMap(f => FileWrapperType.instantiate(f.wrapperType, fs, f.path).extractAll())
       .grouped(batchSize)
-      .foreach { chunk =>
+      .map { chunk =>
         val n = chunk.size
-        out.put(TrainBatch(new Array[Long](n),
+        TrainBatch(new Array[Long](n),
           chunk.iterator.map(s => transform(parser.parse(s.payload))).toArray,
-          chunk.iterator.map(_.label.toInt).toArray, Array.fill(n)(1.0)))
+          chunk.iterator.map(_.label.toInt).toArray, Array.fill(n)(1.0))
       }
 }

@@ -79,7 +79,7 @@ final class InMemorySource(keys: Array[Long], weights: Array[Double],
   * consumed in a fixed order, so a run repeats exactly: the batch
   * sequence depends on the worker and storage-thread counts, which cut
   * the partitions, and not on timing or the prefetch settings. The
-  * worker threads, their queues and the round-robin batch assembly are
+  * worker tasks, their buffers and the round-robin batch assembly are
   * the shared [[Loader]]'s.
   */
 final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
@@ -87,45 +87,30 @@ final class OnlineDataset(source: TrainingSetSource, storage: StorageService,
                           cfg: OnlineDatasetConfig) {
   import OnlineDataset.RawChunk
 
-  /** Samples per parsed chunk: `sendBufferSize`, or fewer when a retrieval
-    * thread's part of a worker share is smaller.
+  /** Iterate the trigger training set once as training batches; worker
+    * errors are rethrown here. `close()` stops the workers and their
+    * prefetch tasks: close an iterator that is not read to its end.
     */
-  private val chunkSize = {
-    val part = source.totalSamples / math.max(1, source.numPartitions) /
-      (cfg.numWorkers * cfg.storageThreads)
-    math.max(1L, math.min(storage.sendBufferSize.toLong, part))
-  }
+  def batches(): Iterator[TrainBatch] with AutoCloseable = Loader.batches(cfg.numWorkers)(worker)
 
-  /** Iterate the trigger training set once as training batches. The
-    * iterator must be fully consumed; worker errors are rethrown here.
+  /** Worker `workerId`'s batches: its share of every partition, in
+    * partition order, parsed one storage chunk at a time.
     */
-  def batches(): Iterator[TrainBatch] =
-    Loader.batches((0 until cfg.numWorkers).map(w => (out: Loader.Sink) => runWorker(w, out)),
-      cfg.batchSize, chunkSize)
-
-  /** Worker main loop: produce parsed chunks of this worker's share of
-    * every partition, in partition order, into `out`.
-    */
-  private def runWorker(workerId: Int, out: Loader.Sink): Unit = {
+  private def worker(workerId: Int): Iterator[TrainBatch] = {
     val nParts = source.numPartitions
     if (cfg.prefetchedPartitions == 0) {
       // No prefetching: blocking fetch of the whole partition share,
       // then parse — no fetch/compute overlap, like a dataloader
       // without the prefetch machinery.
-      var p = 0
-      while (p < nParts && !out.failed) {
-        val raws = fetchChunks(workerId, p).toIndexedSeq
-        raws.foreach(r => out.put(parse(r)))
-        p += 1
-      }
+      val chunks = Iterator.range(0, nParts).flatMap(p => fetchChunks(workerId, p).toIndexedSeq)
+      Loader.cut(chunks.map(parse), cfg.batchSize)
     } else {
       // Prefetch tasks move raw bytes only; parsing stays on the worker's
       // main thread (§4.2.1). A partition's chunks stream into its buffer
       // slot as they arrive, so consumption starts before it is complete.
       val chunks = Parallel.ordered(s"prefetch-$workerId", nParts, cfg.parallelPrefetchRequests,
         cfg.prefetchedPartitions)(fetchChunks(workerId, _))
-      try while (!out.failed && chunks.hasNext) out.put(parse(chunks.next()))
-      finally chunks.close()
+      Loader.cut(chunks.map(parse), cfg.batchSize, chunks)
     }
   }
 

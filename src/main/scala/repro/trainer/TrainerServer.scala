@@ -12,6 +12,7 @@ final case class TrainingRunConfig(epochs: Int, batchSize: Int,
                                    dataset: OnlineDatasetConfig,
                                    seed: Long = 0L) {
   require(epochs > 0, "epochs must be positive")
+  require(batchSize == dataset.batchSize, "batchSize must equal dataset.batchSize")
 }
 
 /** Statistics of one training run — what the supervisor records as the
@@ -43,12 +44,11 @@ final class TrainerServer(storage: StorageService, parser: BytesParser,
     val source: TrainingSetSource = downsampling match {
       case Some(ds) if ds.sampleThenBatch =>
         val policy  = DownsamplingDriver.policyByName(ds.name)
-        val scanCfg = cfg.dataset.copy(batchSize = cfg.batchSize)
-        val pool = new OnlineDataset(new TssSource(tts), storage, parser, transform, scanCfg)
-          .batches()
-          .flatMap(b => (0 until b.size).iterator.map(i => (b.features(i), b.labels(i), b.keys(i))))
+        val scan    = new OnlineDataset(new TssSource(tts), storage, parser, transform, cfg.dataset).batches()
+        val pool    = scan.flatMap(b => (0 until b.size).iterator.map(i => (b.features(i), b.labels(i), b.keys(i))))
         val (keys, weights) =
-          DownsamplingDriver.sampleThenBatch(policy, model, ds.ratio, pool, cfg.seed)
+          try DownsamplingDriver.sampleThenBatch(policy, model, ds.ratio, pool, cfg.seed)
+          finally scan.close()
         new InMemorySource(keys, weights, partitionSizeOf(tts))
       case _ => new TssSource(tts)
     }
@@ -61,8 +61,8 @@ final class TrainerServer(storage: StorageService, parser: BytesParser,
     var samples  = 0L
     var lossSum  = 0.0
     for (epoch <- 0 until cfg.epochs) {
-      val ds = new OnlineDataset(source, storage, parser, transform, cfg.dataset)
-      ds.batches().foreach { batch =>
+      val loader = new OnlineDataset(source, storage, parser, transform, cfg.dataset).batches()
+      try loader.foreach { batch =>
         val loss = btsPolicy match {
           case Some((policy, ratio)) =>
             val draws = DownsamplingDriver.batchThenSample(
@@ -79,7 +79,7 @@ final class TrainerServer(storage: StorageService, parser: BytesParser,
         }
         lossSum += loss
         batches += 1
-      }
+      } finally loader.close()
     }
 
     TrainingResult(

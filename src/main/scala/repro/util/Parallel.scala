@@ -2,6 +2,7 @@ package repro.util
 
 import java.util.concurrent.{CountDownLatch, Executors, LinkedBlockingQueue, Semaphore, ThreadFactory}
 import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicReference}
+import scala.collection.AbstractIterator
 
 /** The one executor of every thread site: the dataloader workers, the
   * prefetch tasks, the storage retrieval tasks, and the parallel file
@@ -26,7 +27,7 @@ object Parallel {
   })
 
   /** Run `body` on a pooled daemon thread, named `name` while it runs. */
-  def fork(name: String)(body: => Unit): Unit = pool.execute { () =>
+  private def fork(name: String)(body: => Unit): Unit = pool.execute { () =>
     val t    = Thread.currentThread()
     val idle = t.getName
     t.setName(name)
@@ -54,28 +55,44 @@ object Parallel {
 
   private object End
 
-  /** Yield the elements of `produce(0)`, …, `produce(n - 1)` in index
-    * order, produced ahead of the consumer on `tasks` pooled tasks (named
-    * `name-<task>`). A task takes a free slot, then the next index, and
-    * puts that index's elements in its own buffer; the consumer frees the
-    * slot once it has read the whole index, so at most `window` indices
-    * are produced but not yet consumed. The same `produce` therefore gives
-    * the same sequence whatever `tasks` is.
+  /** The streams `produce(0)`, …, `produce(n - 1)`, produced ahead of one
+    * consumer on `tasks` pooled tasks (named `name-<task>`). A task takes a
+    * free slot, then the next index, and puts that index's elements in the
+    * index's buffer of at most `capacity` elements; reading a stream to its
+    * end frees its slot, so at most `window` indices are produced but not
+    * yet read to their end. The consumer may read the streams in any order.
     *
-    * The first producer failure is rethrown to the consumer, at whatever
-    * index it is reading. `close()` stops the producers at their next
-    * element and wakes those waiting for a slot: close an iterator that is
-    * not read to its end.
+    * The first producer failure stops the other producers and is rethrown
+    * to the consumer, on whatever stream it reads. `close()` stops the
+    * producers at their next element, also those waiting for a slot or for
+    * buffer space: close a fan-out whose streams are not all read to their
+    * end. A stopping task closes the iterator it reads, if it is
+    * [[AutoCloseable]], so the stop reaches a fan-out nested inside it.
     */
-  def ordered[T](name: String, n: Int, tasks: Int, window: Int)(
-      produce: Int => Iterator[T]): Iterator[T] with AutoCloseable = {
-    require(tasks > 0 && window > 0, "tasks and window must be positive")
-    val buffers = Array.fill(n)(new LinkedBlockingQueue[AnyRef])
-    val slots   = new Semaphore(window)
-    val next    = new AtomicInteger
-    val failure = new AtomicReference[Throwable](null)
-    val stopped = new AtomicBoolean
-    def stop(): Unit = { stopped.set(true); slots.release(tasks) }
+  final class FanOut[T] private[Parallel] (name: String, n: Int, tasks: Int, window: Int,
+                                           capacity: Int, produce: Int => Iterator[T])
+      extends AutoCloseable {
+    // A stopped producer puts at most one more element, and a failure one
+    // End, into a buffer the stop emptied: neither may block.
+    require(tasks > 0 && window > 0 && capacity > 1,
+      "tasks and window must be positive, capacity above 1")
+    private val streams = Array.tabulate(n)(new Stream(_))
+    private val slots   = new Semaphore(window)
+    private val next    = new AtomicInteger
+    private val failure = new AtomicReference[Throwable](null)
+    private val stopped = new AtomicBoolean
+    private var closed  = false
+
+    /** Index `i`'s elements, in the order `produce(i)` yields them. */
+    def apply(i: Int): Iterator[T] = streams(i)
+
+    override def close(): Unit = { closed = true; stop() }
+
+    private def stop(): Unit = {
+      stopped.set(true)
+      slots.release(tasks)
+      streams.foreach(_.buffer.clear())
+    }
 
     (0 until math.min(tasks, n)).foreach { t =>
       fork(s"$name-$t") {
@@ -89,42 +106,72 @@ object Parallel {
               // Every index is taken: free a slot per task, so that no task
               // waits for a consumer that may never free one.
               if (i == n - 1) slots.release(tasks)
-              val it = produce(i)
-              while (!stopped.get() && it.hasNext) buffers(i).put(it.next().asInstanceOf[AnyRef])
-              buffers(i).put(End)
+              streams(i).fill(produce(i))
             }
           }
         } catch {
           case e: Throwable =>
-            // Record the failure before ending any index, so that the
-            // consumer never takes a failed index for a finished one.
-            failure.compareAndSet(null, e)
-            stop()
-            buffers.foreach(_.put(End))
+            // Record the failure before ending any stream, so that the
+            // consumer never takes a failed stream for a finished one.
+            if (failure.compareAndSet(null, e)) {
+              stop()
+              streams.foreach(_.buffer.offer(End))
+            }
         }
       }
     }
 
-    new Iterator[T] with AutoCloseable {
-      private var i            = 0
+    private final class Stream(i: Int) extends AbstractIterator[T] {
+      val buffer               = new LinkedBlockingQueue[AnyRef](capacity)
       private var head: AnyRef = null
-      private var closed       = false
+      private var ended        = false
+
+      def fill(it: Iterator[T]): Unit =
+        try {
+          while (!stopped.get() && it.hasNext) buffer.put(it.next().asInstanceOf[AnyRef])
+          if (!stopped.get()) buffer.put(End)
+        } finally it match {
+          case c: AutoCloseable => c.close()
+          case _                =>
+        }
 
       override def hasNext: Boolean = {
-        while (head == null && i < n && !closed) {
-          val x = buffers(i).take()
+        while (head == null && !ended && !closed) {
+          val x = buffer.take()
           if (failure.get() != null) throw failure.get()
-          if (x eq End) { i += 1; slots.release() } else head = x
+          if (x eq End) { ended = true; slots.release() } else head = x
         }
         head != null && !closed
       }
       override def next(): T = {
-        if (!hasNext) throw new NoSuchElementException("next on an exhausted iterator")
+        if (!hasNext) throw new NoSuchElementException(s"next on the exhausted stream $i")
         val x = head
         head = null
         x.asInstanceOf[T]
       }
-      override def close(): Unit = { closed = true; stop() }
+    }
+  }
+
+  /** A [[FanOut]] of `n` streams whose buffers hold `capacity` elements
+    * each, unbounded by default.
+    */
+  def fanOut[T](name: String, n: Int, tasks: Int, window: Int, capacity: Int = Int.MaxValue)(
+      produce: Int => Iterator[T]): FanOut[T] =
+    new FanOut(name, n, tasks, window, capacity, produce)
+
+  /** Yield the elements of `produce(0)`, …, `produce(n - 1)` in index
+    * order: a [[FanOut]] with unbounded buffers, read one stream after the
+    * other. The same `produce` therefore gives the same sequence whatever
+    * `tasks` is. Close an iterator that is not read to its end.
+    */
+  def ordered[T](name: String, n: Int, tasks: Int, window: Int)(
+      produce: Int => Iterator[T]): Iterator[T] with AutoCloseable = {
+    val streams = fanOut(name, n, tasks, window)(produce)
+    new AbstractIterator[T] with AutoCloseable {
+      private val all = Iterator.range(0, n).flatMap(streams(_))
+      override def hasNext: Boolean = all.hasNext
+      override def next(): T = all.next()
+      override def close(): Unit = streams.close()
     }
   }
 }

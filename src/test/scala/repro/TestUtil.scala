@@ -2,9 +2,13 @@ package repro
 
 import java.nio.file.Files
 import java.util.Comparator
+import java.util.concurrent.TimeUnit
 import repro.storage.{FileSystemWrapper, LocalFileSystemWrapper}
+import scala.jdk.CollectionConverters._
 
-/** Shared test helpers: temp-dir scoping and a file system to intercept. */
+/** Shared test helpers: temp-dir scoping, a file system to intercept, and
+  * a wait for pooled tasks to end.
+  */
 object TestUtil {
 
   /** Run `f` with a fresh temp directory, deleting it afterwards. */
@@ -15,6 +19,18 @@ object TestUtil {
       Files.walk(dir).sorted(Comparator.reverseOrder())
         .forEach(p => Files.deleteIfExists(p))
     }
+  }
+
+  /** Wait up to ten seconds for every live thread whose name starts with
+    * one of `prefixes` to end or be renamed (a pooled thread takes a task's
+    * name while it runs it); return the names still running then.
+    */
+  def awaitNoTasks(prefixes: String*): Set[String] = {
+    def running = Thread.getAllStackTraces.keySet.asScala.map(_.getName)
+      .filter(n => prefixes.exists(n.startsWith)).toSet
+    val deadline = System.nanoTime() + TimeUnit.SECONDS.toNanos(10)
+    while (running.nonEmpty && System.nanoTime() < deadline) Thread.sleep(10)
+    running
   }
 
   /** Forwards every call to the local file system; a test overrides the

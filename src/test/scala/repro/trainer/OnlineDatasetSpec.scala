@@ -1,14 +1,14 @@
 package repro.trainer
 
+import java.util.concurrent.TimeUnit
 import java.util.concurrent.atomic.AtomicInteger
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestUtil.withTmpDir
+import repro.TestUtil.{awaitNoTasks, withTmpDir}
 import repro.datagen.CriteoLite
 import repro.selector.{SelectedSample, TriggerSampleStorage, TriggerTrainingSet}
 import repro.storage.{LocalFileSystemWrapper, SampleRegistry, StorageService}
 import repro.util.Rng
 import scala.collection.mutable
-import scala.jdk.CollectionConverters._
 
 class OnlineDatasetSpec extends AnyFunSuite {
   private val fs = new LocalFileSystemWrapper
@@ -284,10 +284,83 @@ class OnlineDatasetSpec extends AnyFunSuite {
       val ds = new OnlineDataset(new TssSource(tts), storage, parser, IdentityTransform,
         cfg(2, prefetch = 1, parallel = 1, storageThreads = 2))
       intercept[IllegalStateException] { ds.batches().toSeq }
-      Thread.sleep(500)
-      val left = Thread.getAllStackTraces.keySet.asScala.map(_.getName)
-        .filter(n => Seq("prefetch-", "storage-", "loader-").exists(n.startsWith))
+      val left = awaitNoTasks("prefetch-", "storage-", "loader-")
       assert(left.isEmpty, s"still running: $left")
+      r.close()
+    }
+  }
+
+  /** A Criteo parser that counts its calls and throws on call `failAt`. */
+  private final class CountingParser(failAt: Int = -1) extends BytesParser {
+    val calls         = new AtomicInteger
+    private val inner = new CriteoBytesParser(16)
+    override def dim: Int = inner.dim
+    override def parse(payload: Array[Byte]): Array[Float] =
+      if (calls.incrementAndGet() == failAt) throw new IllegalStateException("parse failed")
+      else inner.parse(payload)
+  }
+
+  test("a failing worker stops the other workers before they finish their shares") {
+    withTmpDir { dir =>
+      val (r, storage, tts) = setup(dir, 3000, partitionSize = 100)
+      val parser = new CountingParser(failAt = 60)
+      val ds = new OnlineDataset(new TssSource(tts), storage, parser, IdentityTransform,
+        cfg(3, prefetch = 1, batch = 16))
+      intercept[IllegalStateException] { ds.batches().toSeq }
+      assert(awaitNoTasks("prefetch-", "storage-", "loader-").isEmpty)
+      // Each worker's share is 1 000 samples. Had the two healthy workers
+      // run on, they would have parsed 2 000 samples between them.
+      assert(parser.calls.get() < 1000, s"${parser.calls.get()} samples parsed")
+      r.close()
+    }
+  }
+
+  test("behind a stalled consumer a worker parses about four batches ahead, plus the one in hand") {
+    withTmpDir { dir =>
+      val (r, _, tts) = setup(dir, 2000, partitionSize = 1000)
+      val chunk   = 8
+      val batch   = 32
+      val storage = new StorageService(r, fs, sendBufferSize = chunk)
+      val parser  = new CountingParser()
+      val it = new OnlineDataset(new TssSource(tts), storage, parser, IdentityTransform,
+        cfg(1, prefetch = 1, batch = batch)).batches()
+      val consumed = it.next().size
+      // What has been parsed beyond the consumed batch once the worker waits
+      // (the unread rest of a chunk being cut is none here, as chunk
+      // divides batch):
+      //  - with a queue of q = max(2, ceil(4 * batch / chunk)) parsed chunks
+      //    and batches cut by the consumer: the next batch, which the
+      //    consumer cuts as soon as it hands one out, the full queue, and
+      //    one chunk waiting for room: batch + q * chunk + chunk, which is
+      //    5 * batch + chunk here;
+      //  - with a buffer of 4 batches cut by the worker: the full buffer and
+      //    one batch waiting for room, 5 * batch.
+      // Both lie in [4 * batch, 5 * batch + chunk].
+      val deadline = System.nanoTime() + TimeUnit.SECONDS.toNanos(10)
+      while (parser.calls.get() < consumed + 4 * batch && System.nanoTime() < deadline) Thread.sleep(10)
+      Thread.sleep(200) // time to overrun the bound, were the worker unbounded
+      val ahead = parser.calls.get() - consumed
+      assert(ahead >= 4 * batch && ahead <= 5 * batch + chunk, s"$ahead samples parsed ahead")
+      assert(it.map(_.size).sum == 2000 - consumed)
+      assert(parser.calls.get() == 2000)
+      r.close()
+    }
+  }
+
+  test("a closed batches() iterator leaves no data-path task running") {
+    withTmpDir { dir =>
+      val (r, storage, tts) = setup(dir, 600, partitionSize = 300)
+      for (prefetch <- Seq(0, 1, 2); threads <- Seq(1, 2); workers <- Seq(1, 3)) {
+        val where = s"prefetch=$prefetch threads=$threads workers=$workers"
+        val it = new OnlineDataset(new TssSource(tts), storage, new CriteoBytesParser(16), IdentityTransform,
+          cfg(workers, prefetch, parallel = math.max(1, prefetch), storageThreads = threads, batch = 16)).batches()
+        // Two batches of a share of at least 100 samples: mid-partition.
+        assert(it.next().size == 16 && it.next().size == 16, where)
+        it.close()
+        assert(!it.hasNext, where)
+        val left = awaitNoTasks("prefetch-", "storage-", "loader-")
+        assert(left.isEmpty, s"$where: still running $left")
+      }
       r.close()
     }
   }

@@ -1,7 +1,7 @@
 package repro.trainer
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.TestUtil.withTmpDir
+import repro.TestUtil.{awaitNoTasks, withTmpDir}
 import repro.datagen.CriteoLite
 import repro.evaluator.{Evaluator, RocAuc}
 import repro.selector.{DownsamplingConfig, SelectedSample, TriggerSampleStorage, TriggerTrainingSet}
@@ -132,6 +132,61 @@ class TrainerServerSpec extends AnyFunSuite {
       assert(res.meanLoss > 0)
       assert(res.triggerId == 0)
       r.close()
+    }
+  }
+
+  /** Forwards to `inner`, but `trainBatch` throws on call `trainFailAt` and
+    * scoring on call `scoreFailAt`.
+    */
+  private final class FailingModel(inner: Model, trainFailAt: Int = -1, scoreFailAt: Int = -1) extends Model {
+    private var trained = 0
+    private var scored  = 0
+    private def score(): Unit = {
+      scored += 1
+      if (scored == scoreFailAt) throw new IllegalStateException("scoring failed")
+    }
+    override def dim: Int = inner.dim
+    override def numClasses: Int = inner.numClasses
+    override def weights: Array[Double] = inner.weights
+    override def setWeights(w: Array[Double]): Unit = inner.setWeights(w)
+    override def scores(x: Array[Float]): Array[Double] = { score(); inner.scores(x) }
+    override def lossOf(x: Array[Float], y: Int): Double = { score(); inner.lossOf(x, y) }
+    override def lastLayerGradNorm(x: Array[Float], y: Int, ceOptimized: Boolean): Double = {
+      score()
+      inner.lastLayerGradNorm(x, y, ceOptimized)
+    }
+    override def trainBatch(xs: Array[Array[Float]], ys: Array[Int], sampleWeights: Array[Double]): Double = {
+      trained += 1
+      if (trained == trainFailAt) throw new IllegalStateException("training step failed")
+      inner.trainBatch(xs, ys, sampleWeights)
+    }
+  }
+
+  test("a run that fails mid-epoch leaves no data-path task running") {
+    withTmpDir { dir =>
+      val (r, storage, tts) = setup(dir, 2000)
+      val parser = new CriteoBytesParser(32)
+      def failing(trainFailAt: Int = -1, scoreFailAt: Int = -1) =
+        new FailingModel(new LogisticRegressionModel(parser.dim, SgdConfig(0.1), 1), trainFailAt, scoreFailAt)
+      val stb    = Some(DownsamplingConfig("GradNormCE", 0.5, sampleThenBatch = true))
+      val cases  = Seq(
+        ("plain", failing(trainFailAt = 3), None),
+        ("StB training", failing(trainFailAt = 3), stb),
+        ("StB scoring", failing(scoreFailAt = 300), stb))
+      for ((name, model, downsampling) <- cases) {
+        intercept[IllegalStateException] {
+          new TrainerServer(storage, parser).runTraining(model, tts, runCfg(), downsampling)
+        }
+        val left = awaitNoTasks("prefetch-", "storage-", "loader-")
+        assert(left.isEmpty, s"$name: still running $left")
+      }
+      r.close()
+    }
+  }
+
+  test("a run has one batch size") {
+    intercept[IllegalArgumentException] {
+      TrainingRunConfig(1, 64, usePreviousModel = true, OnlineDatasetConfig(1, 32, 1, 1, 1))
     }
   }
 }

@@ -3,20 +3,9 @@ package repro.util
 import java.util.concurrent.{CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger}
 import org.scalatest.funsuite.AnyFunSuite
-import scala.jdk.CollectionConverters._
+import repro.TestUtil.awaitNoTasks
 
 class ParallelSpec extends AnyFunSuite {
-
-  /** Names of the live threads that run a task named `prefix-<i>`. */
-  private def running(prefix: String): Set[String] =
-    Thread.getAllStackTraces.keySet.asScala.map(_.getName).filter(_.startsWith(s"$prefix-")).toSet
-
-  /** Wait up to five seconds for every task named `prefix-<i>` to end. */
-  private def awaitNoneRunning(prefix: String): Set[String] = {
-    val deadline = System.nanoTime() + TimeUnit.SECONDS.toNanos(5)
-    while (running(prefix).nonEmpty && System.nanoTime() < deadline) Thread.sleep(10)
-    running(prefix)
-  }
 
   test("ordered yields every index's elements in index order, whatever the task count") {
     val expected = (0 until 40).flatMap(i => (0 until i % 5).map(j => (i, j)))
@@ -28,7 +17,7 @@ class ParallelSpec extends AnyFunSuite {
       }
       assert(it.toSeq == expected, s"tasks=$tasks window=$window")
     }
-    assert(awaitNoneRunning("ordered-order").isEmpty)
+    assert(awaitNoTasks("ordered-order-").isEmpty)
   }
 
   test("ordered keeps at most `window` indices produced but not yet consumed") {
@@ -71,7 +60,7 @@ class ParallelSpec extends AnyFunSuite {
     assert(e.getMessage == "index 2 failed")
     assert(held.get() && seen.result() == Seq(0))
     release.countDown()
-    assert(awaitNoneRunning("ordered-fail").isEmpty)
+    assert(awaitNoTasks("ordered-fail-").isEmpty)
   }
 
   test("close() frees the producers that wait for a slot") {
@@ -80,7 +69,7 @@ class ParallelSpec extends AnyFunSuite {
     // Two tasks now wait for the one slot, which index 0 holds.
     it.close()
     assert(!it.hasNext)
-    assert(awaitNoneRunning("ordered-close").isEmpty)
+    assert(awaitNoTasks("ordered-close-").isEmpty)
   }
 
   test("a producer stops without waiting for a slot once every index is taken") {
@@ -90,7 +79,7 @@ class ParallelSpec extends AnyFunSuite {
     assert(produced.await(5, TimeUnit.SECONDS))
     // The consumer abandons the iterator without closing it: both slots
     // stay taken, and no task may wait for one.
-    assert(awaitNoneRunning("ordered-abandon").isEmpty)
+    assert(awaitNoTasks("ordered-abandon-").isEmpty)
   }
 
   test("ordered over no indices is empty") {
