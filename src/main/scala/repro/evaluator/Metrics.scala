@@ -1,7 +1,7 @@
 package repro.evaluator
 
-import java.util.stream.IntStream
 import repro.trainer.Model
+import repro.util.Parallel
 
 /** A metric computed incrementally, one prediction at a time, without
   * storing forward-pass results (§4.3).
@@ -111,7 +111,7 @@ final class EvalBlock(val rows: Array[Array[Float]], val labels: Array[Int], val
   */
 object Evaluator {
 
-  /** Rows per task of `evaluateBlock`'s parallel scoring pass. */
+  /** Most rows per task of `evaluateBlock`'s parallel scoring pass. */
   private val RangeRows = 256
 
   /** Evaluate `model` on `(features, labels)` with the given metrics. */
@@ -139,8 +139,8 @@ object Evaluator {
   /** Evaluate `model` on every set of `block`, giving one result list per
     * set, each equal to what [[evaluate]] gives on that set's rows.
     *
-    * One scoring pass runs `model.scores` over the whole block in fixed
-    * 256-row ranges on the common ForkJoin pool, and writes each
+    * One scoring pass runs `model.scores` over the whole block in ranges
+    * of at most 256 rows on the common ForkJoin pool, and writes each
     * row's argmax (and its holistic score, only when a holistic metric is
     * requested) into per-row arrays. Each set's metrics are then reset and
     * folded on the calling thread in row order, so the results do not
@@ -152,9 +152,8 @@ object Evaluator {
     val keepScores = holistic.nonEmpty
     val predicted  = new Array[Int](n)
     val scores     = if (keepScores) new Array[Double](n) else Array.emptyDoubleArray
-    IntStream.range(0, (n + RangeRows - 1) / RangeRows).parallel().forEach { (r: Int) =>
-      var i   = r * RangeRows
-      val end = math.min(n, i + RangeRows)
+    Parallel.ranges(n, (n + RangeRows - 1) / RangeRows) { (from, end) =>
+      var i = from
       while (i < end) {
         val s = model.scores(block.rows(i))
         predicted(i) = argmax(s)

@@ -1,6 +1,6 @@
 package repro.trainer
 
-import repro.util.Rng
+import repro.util.{Parallel, Rng}
 
 /** SGD hyperparameters, as configured in a pipeline's training section. */
 final case class SgdConfig(lr: Double, momentum: Double = 0.0, weightDecay: Double = 0.0) {
@@ -150,31 +150,74 @@ final class SoftmaxRegressionModel(val dim: Int, val numClasses: Int,
     }
   }
 
+  /** Multiply-adds per task of the parallel training step: tens of
+    * microseconds of work, against a few for handing a task to the pool.
+    */
+  private val TaskWork = 1 << 16
+
+  /** One SGD step, split into parallel tasks by the batch's shape: one
+    * task per `TaskWork` multiply-adds of the logits (at most one per row)
+    * for the probabilities, and as many (at most one per class) for the
+    * gradient.
+    */
   override def trainBatch(xs: Array[Array[Float]], ys: Array[Int],
                           sampleWeights: Array[Double]): Double = {
     require(xs.length == ys.length && xs.length == sampleWeights.length, "batch arity mismatch")
     if (xs.isEmpty) return 0.0
-    val grad = new Array[Double](nParams)
-    var lossSum = 0.0
-    val invB = 1.0 / xs.length
-    var i = 0
-    while (i < xs.length) {
-      val x = xs(i); val y = ys(i); val sw = sampleWeights(i)
-      val p = softmax(logits(x))
-      lossSum += sw * -math.log(math.max(p(y), 1e-12))
-      p(y) -= 1.0 // dL/dz
-      var c = 0
-      while (c < numClasses) {
-        val g = sw * invB * p(c)
-        if (g != 0.0) {
-          val base = c * dim
-          var f = 0
-          while (f < dim) { grad(base + f) += g * x(f); f += 1 }
-          grad(numClasses * dim + c) += g
-        }
-        c += 1
+    val work  = xs.length.toLong * numClasses * dim
+    val tasks = ((work + TaskWork - 1) / TaskWork).toInt
+    trainBatch(xs, ys, sampleWeights, math.min(tasks, xs.length), math.min(tasks, numClasses))
+  }
+
+  /** The SGD step on a non-empty batch, with the probabilities computed in
+    * `rowTasks` row ranges and the gradient in `classTasks` class ranges,
+    * in parallel on the common ForkJoin pool. The loss is summed in row
+    * order on the caller, each gradient entry adds its rows in row order
+    * inside one task, and the update runs on the caller, so the result is
+    * bit-identical for any split and to a loop over one sample at a time.
+    */
+  private[trainer] def trainBatch(xs: Array[Array[Float]], ys: Array[Int], sampleWeights: Array[Double],
+                                  rowTasks: Int, classTasks: Int): Double = {
+    val n    = xs.length
+    val invB = 1.0 / n
+    // dz(i * numClasses + c): row i's factor in class c's gradient, the
+    // weighted dL/dz scaled by 1/B.
+    val dz   = new Array[Double](n * numClasses)
+    val loss = new Array[Double](n)
+    Parallel.ranges(n, rowTasks) { (from, until) =>
+      var i = from
+      while (i < until) {
+        val y = ys(i); val sw = sampleWeights(i)
+        val p = softmax(logits(xs(i)))
+        loss(i) = sw * -math.log(math.max(p(y), 1e-12))
+        p(y) -= 1.0 // dL/dz
+        val row = i * numClasses
+        var c = 0
+        while (c < numClasses) { dz(row + c) = sw * invB * p(c); c += 1 }
+        i += 1
       }
-      i += 1
+    }
+    var lossSum = 0.0
+    var i = 0
+    while (i < n) { lossSum += loss(i); i += 1 }
+    val grad = new Array[Double](nParams)
+    Parallel.ranges(numClasses, classTasks) { (from, until) =>
+      var i = 0
+      while (i < n) {
+        val x = xs(i); val row = i * numClasses
+        var c = from
+        while (c < until) {
+          val g = dz(row + c)
+          if (g != 0.0) {
+            val base = c * dim
+            var f = 0
+            while (f < dim) { grad(base + f) += g * x(f); f += 1 }
+            grad(numClasses * dim + c) += g
+          }
+          c += 1
+        }
+        i += 1
+      }
     }
     // v <- m*v + (grad + wd*w); w <- w - lr*v   (PyTorch SGD semantics)
     var j = 0

@@ -16,7 +16,7 @@ final case class TrainingRunConfig(epochs: Int, batchSize: Int,
 }
 
 /** Statistics of one training run — what the supervisor records as the
-  * run's metadata.
+  * run's metadata. `wallClockMs` is rounded to the nearest millisecond.
   */
 final case class TrainingResult(triggerId: Int, samplesTrainedOn: Long, batches: Long,
                                 meanLoss: Double, wallClockMs: Long,
@@ -57,12 +57,21 @@ final class TrainerServer(storage: StorageService, parser: BytesParser,
       case ds if !ds.sampleThenBatch => (DownsamplingDriver.policyByName(ds.name), ds.ratio)
     }
 
+    // Epoch e + 1's loader opens once epoch e has yielded its first batch,
+    // so that its workers fill their buffers while epoch e trains: at most
+    // the current epoch's loader and the next one's are open.
+    def open() = new OnlineDataset(source, storage, parser, transform, cfg.dataset).batches()
+    var current: Iterator[TrainBatch] with AutoCloseable = null
+    var next: Iterator[TrainBatch] with AutoCloseable    = null
+
     var batches  = 0L
     var samples  = 0L
     var lossSum  = 0.0
-    for (epoch <- 0 until cfg.epochs) {
-      val loader = new OnlineDataset(source, storage, parser, transform, cfg.dataset).batches()
-      try loader.foreach { batch =>
+    try for (epoch <- 0 until cfg.epochs) {
+      current = if (next != null) next else open()
+      next = null
+      current.foreach { batch =>
+        if (next == null && epoch + 1 < cfg.epochs) next = open()
         val loss = btsPolicy match {
           case Some((policy, ratio)) =>
             val draws = DownsamplingDriver.batchThenSample(
@@ -79,15 +88,17 @@ final class TrainerServer(storage: StorageService, parser: BytesParser,
         }
         lossSum += loss
         batches += 1
-      } finally loader.close()
-    }
+      }
+      current.close()
+      current = null
+    } finally Seq(current, next).foreach(l => if (l != null) l.close())
 
     TrainingResult(
       triggerId = tts.triggerId,
       samplesTrainedOn = samples,
       batches = batches,
       meanLoss = if (batches == 0) 0.0 else lossSum / batches,
-      wallClockMs = (System.nanoTime() - start) / 1000000L,
+      wallClockMs = math.round((System.nanoTime() - start) / 1e6),
       downsampledTo = downsampling.collect { case ds if ds.sampleThenBatch => source.totalSamples })
   }
 

@@ -2,11 +2,14 @@ package repro.util
 
 import java.util.concurrent.{CountDownLatch, Executors, LinkedBlockingQueue, Semaphore, ThreadFactory}
 import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicReference}
+import java.util.stream.IntStream
 import scala.collection.AbstractIterator
 
 /** The one executor of every thread site: the dataloader workers, the
   * prefetch tasks, the storage retrieval tasks, and the parallel file
-  * writers of the TSS.
+  * writers of the TSS. Short compute that does not block, the model's
+  * training step and the evaluator's scoring, runs in [[ranges]] on the
+  * JDK's common ForkJoin pool instead.
   *
   * Idle threads are kept for a minute and reused, so a partition, an epoch
   * or a trigger does not pay thread start-up again. Thread starts cost
@@ -52,6 +55,18 @@ object Parallel {
     done.await()
     if (failure.get() != null) throw failure.get()
   }
+
+  /** Run `body(from, until)` over `tasks` contiguous ranges of near-equal
+    * size that cover `0 until n`, on the JDK's common ForkJoin pool with
+    * the caller taking part, and return when all are done; one task runs
+    * on the caller alone. For short compute that does not block: the
+    * common pool has one thread per core, less the caller's.
+    */
+  def ranges(n: Int, tasks: Int)(body: (Int, Int) => Unit): Unit =
+    if (tasks <= 1) body(0, n)
+    else IntStream.range(0, tasks).parallel().forEach { (t: Int) =>
+      body((t.toLong * n / tasks).toInt, ((t + 1).toLong * n / tasks).toInt)
+    }
 
   private object End
 

@@ -285,4 +285,41 @@ class ModelSpec extends AnyFunSuite {
       assert(java.util.Arrays.equals(m.scores(xs(0)), ref.scores(xs(0))), at)
     }
   }
+
+  test("softmax step is bit-identical to a one-accumulator loop for any batch shape and task split") {
+    val cfg = SgdConfig(lr = 0.05, momentum = 0.9, weightDecay = 1e-4)
+    for (numClasses <- Seq(2, 3, 5, 7, 48, 96); dim <- Seq(1, 37, 64); n <- Seq(1, 31, 64, 65, 256, 257)) {
+      val seed = numClasses * 10000L + dim * 1000L + n
+      val w0   = Array.tabulate(numClasses * dim + numClasses)(i => Rng.gaussian(Rng.mix2(seed, i)) * 0.5)
+      val batches = (0 until 2).map { step =>
+        // Every seventh row is scaled up, so that some of its classes'
+        // probabilities underflow to 0 and their factors are skipped.
+        val xs = Array.tabulate(n) { i =>
+          val x = randX(dim, seed * 31 + step * n + i)
+          if (i % 7 == 3) x.map(_ * 1000f) else x
+        }
+        val ys = Array.tabulate(n)(i => Math.floorMod(Rng.mix2(seed, step * n + i), numClasses.toLong).toInt)
+        // Every fifth sample has weight 0, so that its gradient terms are skipped.
+        val sw = Array.tabulate(n)(i => if (i % 5 == 2) 0.0 else 0.5 + (i % 3))
+        (xs, ys, sw)
+      }
+      val ref = new ReferenceSoftmax(dim, numClasses, cfg, w0)
+      val want = batches.map { case (xs, ys, sw) => (ref.trainBatch(xs, ys, sw), ref.w.clone()) }
+      // None: the split the model derives from the batch's shape.
+      val splits = Seq(None, Some((1, 1)), Some((2, 3)), Some((7, 2)), Some((n, numClasses)))
+      for (split <- splits) {
+        val m = new SoftmaxRegressionModel(dim, numClasses, cfg)
+        m.setWeights(w0)
+        batches.zip(want).zipWithIndex.foreach { case (((xs, ys, sw), (loss, w)), step) =>
+          val at = s"C=$numClasses d=$dim n=$n split=$split step $step"
+          val got = split match {
+            case None             => m.trainBatch(xs, ys, sw)
+            case Some((rows, cs)) => m.trainBatch(xs, ys, sw, math.min(rows, n), math.min(cs, numClasses))
+          }
+          assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(loss), at)
+          assert(java.util.Arrays.equals(m.weights, w), at)
+        }
+      }
+    }
+  }
 }
