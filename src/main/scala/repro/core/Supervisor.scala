@@ -15,12 +15,13 @@ final case class EvalSet(name: String, keys: Array[Long])
 
 /** Everything recorded about one trigger's training run. `evalMs` is the
   * wall time of the trigger's evaluation, including any retrieval of eval
-  * data it did.
+  * data it did; `selectMs` that of its selection, including the write of
+  * the trigger training set to the TSS.
   */
 final case class TriggerReport(triggerId: Int, training: TrainingResult,
                                storedModelBytes: Long,
                                evals: Map[String, Seq[EvalResult]],
-                               evalMs: Long = 0L)
+                               evalMs: Long = 0L, selectMs: Long = 0L)
 
 /** The pipeline execution's output: one report per trigger, in order.
   * `accuracyMatrix` renders the Fig. 9/10 protocol — each trained model
@@ -124,8 +125,10 @@ final class Supervisor private[core] (pipeline: PipelineConfig, registry: Sample
     }
 
     def fireTrigger(): Unit = {
-      val triggerId = strategy.nextTriggerId
-      val tts       = strategy.onTrigger()
+      val triggerId   = strategy.nextTriggerId
+      val selectStart = System.nanoTime()
+      val tts         = strategy.onTrigger()
+      val selectMs    = (System.nanoTime() - selectStart) / 1000000L
       if (tts.totalSamples == 0) return // nothing selected; skip the run
 
       if (pipeline.usePreviousModel) {
@@ -152,7 +155,7 @@ final class Supervisor private[core] (pipeline: PipelineConfig, registry: Sample
       val evalStart = System.nanoTime()
       val evals     = evaluate()
       reports += TriggerReport(triggerId, result, bytes, evals,
-        (System.nanoTime() - evalStart) / 1000000L)
+        (System.nanoTime() - evalStart) / 1000000L, selectMs)
       trained += 1
     }
 

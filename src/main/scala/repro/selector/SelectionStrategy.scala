@@ -119,16 +119,17 @@ abstract class AbstractSelectionStrategy(protected val ctx: SelectorContext,
   protected def resetState(): Unit = ctx.backend.reset()
 
   /** Cut the selected `keys` into fixed-size partitions and persist each,
-    * every key with weight 1, through the TSS with 4 writer threads per
-    * partition (§4.2.2).
+    * every key with weight 1, through the TSS with as many writer threads
+    * as the partition's size needs, up to 4 (§4.2.2).
     */
   private def persistSelection(triggerId: Int, keys: Array[Long]): TriggerTrainingSet = {
     val weights = new Array[Double](keys.length)
     java.util.Arrays.fill(weights, 1.0)
     val parts   = (keys.length + ctx.partitionSize - 1) / ctx.partitionSize
     (0 until parts).foreach { p =>
-      ctx.tss.writePartition(triggerId, p, keys, weights, p * ctx.partitionSize,
-        math.min(keys.length, (p + 1) * ctx.partitionSize), numThreads = 4)
+      val (from, until) = (p * ctx.partitionSize, math.min(keys.length, (p + 1) * ctx.partitionSize))
+      ctx.tss.writePartition(triggerId, p, keys, weights, from, until,
+        numThreads = TriggerSampleStorage.writersFor(until - from))
     }
     TriggerTrainingSet(triggerId, parts, keys.length.toLong, ctx.tss)
   }

@@ -352,4 +352,24 @@ class SupervisorSpec extends SparkSpec {
       registry.close()
     }
   }
+
+  test("a trigger's selectMs covers the write of its trigger training set") {
+    withTmpDir { dir =>
+      val registry = new SampleRegistry
+      ClocLite.generate(fs, registry, s"$dir/data", 24, 4, 16, years = 2004 to 2006)
+      // Each TSS file write takes at least 15 ms, and every trigger writes
+      // at least one.
+      val slowFs = new ForwardingFs {
+        override def write(path: String, bytes: Array[Byte]): Unit = {
+          if (path.endsWith(".tss")) Thread.sleep(15); super.write(path, bytes)
+        }
+      }
+      val storage = new StorageService(registry, fs)
+      val selectMs = supervisor(clocPipeline("local"), registry, storage, slowFs, s"$dir/work", Long.MaxValue)
+        .runExperiment(replayBatchSize = 24, trailingTrigger = true)
+        .triggers.map(_.selectMs)
+      assert(selectMs.size == 3 && selectMs.forall(_ >= 15), selectMs)
+      registry.close()
+    }
+  }
 }
