@@ -17,8 +17,8 @@ final case class SelectedSample(key: Long, weight: Double)
   * of transfer to the trainer). Each partition is written by `numThreads`
   * parallel writers, producing `numThreads` files of 16-byte little-endian
   * (Int64 key, Float64 weight) records, through the same fixed-record
-  * writer as the local metadata backend. The selector sizes `numThreads`
-  * to the partition with [[TriggerSampleStorage.writersFor]].
+  * writer as the local metadata backend. The selector writes one file per
+  * partition.
   *
   * On the read side, a dataloader worker asks for *its* share of a
   * partition. The worker count generally differs from the writer-thread
@@ -130,20 +130,6 @@ final class TriggerSampleStorage(fs: FileSystemWrapper, baseDir: String) {
     }
     (keys, weights)
   }
-}
-
-object TriggerSampleStorage {
-  private val MaxWriters       = 4
-  private val RecordsPerWriter = 16384
-
-  /** Writers for a partition of `records` records: one per 16 Ki records
-    * (256 KB), at most 4. On a 4-core VM, writing a new file took about
-    * 0.45 ms for 12 KB and 0.55 ms for 256 KB: the create, not the bytes,
-    * sets the cost, so a small partition is written by one writer on the
-    * calling thread.
-    */
-  def writersFor(records: Int): Int =
-    math.min(MaxWriters, (records + RecordsPerWriter - 1) / RecordsPerWriter)
 }
 
 /** Handle to a persisted trigger training set: where it lives and how it is

@@ -40,23 +40,21 @@ object Parallel {
   /** Run every task on its own pooled thread (named `name-<index>`), wait
     * for all of them, then rethrow the first failure. A writer that fails
     * must fail the write: a silently missing file would leave the data
-    * short. A lone task runs on the caller, with no hand-off to the pool.
+    * short.
     */
-  def runAll(name: String, tasks: Seq[() => Unit]): Unit =
-    if (tasks.size == 1) tasks.head()
-    else {
-      val failure = new AtomicReference[Throwable](null)
-      val done    = new CountDownLatch(tasks.size)
-      tasks.zipWithIndex.foreach { case (task, i) =>
-        fork(s"$name-$i") {
-          try task()
-          catch { case e: Throwable => failure.compareAndSet(null, e) }
-          finally done.countDown()
-        }
+  def runAll(name: String, tasks: Seq[() => Unit]): Unit = {
+    val failure = new AtomicReference[Throwable](null)
+    val done    = new CountDownLatch(tasks.size)
+    tasks.zipWithIndex.foreach { case (task, i) =>
+      fork(s"$name-$i") {
+        try task()
+        catch { case e: Throwable => failure.compareAndSet(null, e) }
+        finally done.countDown()
       }
-      done.await()
-      if (failure.get() != null) throw failure.get()
     }
+    done.await()
+    if (failure.get() != null) throw failure.get()
+  }
 
   /** Run `body(from, until)` over `tasks` contiguous ranges of near-equal
     * size that cover `0 until n`, on the JDK's common ForkJoin pool with

@@ -164,7 +164,7 @@ class TriggerSampleStorageSpec extends AnyFunSuite {
       val tss = new TriggerSampleStorage(broken, dir)
       val ex = intercept[java.io.IOException] { tss.writePartition(0, 0, samples(12), numThreads = 3) }
       assert(ex.getMessage == "disk full")
-      // A lone writer runs on the caller, and its failure fails the call too.
+      // A lone writer's failure fails the call too.
       val lone = new TriggerSampleStorage(new ForwardingFs {
         override def write(path: String, bytes: Array[Byte]): Unit = throw new java.io.IOException("disk full")
       }, dir)

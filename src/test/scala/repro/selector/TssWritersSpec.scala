@@ -7,13 +7,8 @@ import repro.storage.{LocalFileSystemWrapper, SampleColumns}
 class TssWritersSpec extends AnyFunSuite {
   private val fs = new LocalFileSystemWrapper
 
-  test("writersFor gives one writer per 16 Ki records, at most 4") {
-    assert(Seq(1, 3000, 16384, 16385, 25000, 49152, 49153, 75000, 1000000)
-      .map(TriggerSampleStorage.writersFor) == Seq(1, 1, 1, 2, 2, 3, 4, 4, 4))
-  }
-
-  test("selection writes each partition with as many files as its size needs") {
-    for ((records, writers) <- Seq(3000 -> 1, 25000 -> 2, 75000 -> 4)) withTmpDir { dir =>
+  test("selection writes each partition as one file") {
+    for (records <- Seq(3000, 25000, 75000)) withTmpDir { dir =>
       val tss = new TriggerSampleStorage(fs, s"$dir/tss")
       val ctx = SelectorContext(new LocalBinaryBackend(fs, s"$dir/backend"), tss, partitionSize = records)
       val s   = new NewDataStrategy(ctx, resetAfterTrigger = true)
@@ -21,7 +16,7 @@ class TssWritersSpec extends AnyFunSuite {
       s.inform(SampleColumns(keys, keys.map(_ % 5), keys))
       val tts = s.onTrigger()
       assert(tts.numPartitions == 1 && tts.totalSamples == records)
-      assert(fs.list(s"$dir/tss/trigger_000000").size == writers, s"$records records")
+      assert(fs.list(s"$dir/tss/trigger_000000").size == 1, s"$records records")
 
       // The files a share is read from do not change the share.
       val copy = new TriggerSampleStorage(fs, s"$dir/copy")

@@ -1,10 +1,9 @@
 package repro.util
 
-import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicReference}
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil.awaitNoTasks
-import scala.jdk.CollectionConverters._
 
 class ParallelSpec extends AnyFunSuite {
 
@@ -81,30 +80,6 @@ class ParallelSpec extends AnyFunSuite {
     // The consumer abandons the iterator without closing it: both slots
     // stay taken, and no task may wait for one.
     assert(awaitNoTasks("ordered-abandon-").isEmpty)
-  }
-
-  test("runAll runs a lone task on the calling thread and rethrows its failure") {
-    val ran = new AtomicReference[Thread]
-    Parallel.runAll("runall-one", Seq(() => ran.set(Thread.currentThread())))
-    assert(ran.get() eq Thread.currentThread())
-    val e = intercept[IllegalStateException] {
-      Parallel.runAll("runall-one", Seq(() => throw new IllegalStateException("lone task failed")))
-    }
-    assert(e.getMessage == "lone task failed")
-  }
-
-  test("runAll runs several tasks on pooled threads and rethrows a failure after all end") {
-    val names = new ConcurrentLinkedQueue[String]
-    val ended = new AtomicInteger
-    val e = intercept[IllegalStateException] {
-      Parallel.runAll("runall-many", (0 until 3).map { i => () =>
-        names.add(Thread.currentThread().getName)
-        if (i == 1) throw new IllegalStateException("task 1 failed")
-        Thread.sleep(20); ended.incrementAndGet(); ()
-      })
-    }
-    assert(e.getMessage == "task 1 failed" && ended.get() == 2)
-    assert(names.asScala.toSet == Set("runall-many-0", "runall-many-1", "runall-many-2"))
   }
 
   test("ordered over no indices is empty") {
